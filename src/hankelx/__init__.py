@@ -2,9 +2,10 @@
 
 Signals live in a reweighted vector form whose l2 norm matches the Frobenius
 norm of the embedded Hankel matrix; all heavy operator work runs through
-FFT-sized convolutions.  The main entry points are :func:`run_hsnld` (the
-Newton-like preconditioned solver), :func:`run_plain_gd` (an unpreconditioned
-baseline), and the generators in :mod:`hankelx.signals`.
+FFTs of one length, next_pow_two(n), in :mod:`hankelx.hankel`.  The main
+entry points are :func:`run_hsnld` (the Newton-like preconditioned solver),
+:func:`run_plain_gd` (an unpreconditioned baseline), and the generators in
+:mod:`hankelx.signals`.
 """
 
 from .hankel import (
@@ -26,8 +27,6 @@ from .linalg import (
     TruncatedSVD,
     hermitian_eig,
     inverse,
-    psd_sqrt,
-    thin_qr,
     truncated_svd,
 )
 from .recovery import (
@@ -54,7 +53,6 @@ from .sampling import (
     keep_count,
     project_obs,
     sample_pattern,
-    sparsify_residual,
     top_k_threshold,
 )
 from .signals import (
@@ -70,6 +68,5 @@ from .signals import (
     save_signal_csv,
     spectral_signal,
 )
-from .transforms import convolve, correlate, fft, ifft
 
 __version__ = "0.1.0"

@@ -100,7 +100,6 @@ _SCHEMAS = {
         "bound": (_parse_bound, "auto"),
         "max_iters": (int, 1000),
         "tol_residual": (float, 1e-5),
-        "tol_stagnation": (float, 0.0),
         "solver": (str, "hsnld"),
     },
     "converge": {
@@ -350,7 +349,6 @@ def cmd_recover(params: dict, seed: int, out: Path, threads: int) -> int:
         incoherence_bound=params["bound"],
         max_iters=params["max_iters"],
         tol_residual=params["tol_residual"],
-        tol_stagnation=params["tol_stagnation"],
         seed=derive_seed(seed, "solver"),
     )
     runner = run_hsnld if params["solver"] == "hsnld" else run_plain_gd

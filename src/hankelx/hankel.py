@@ -8,8 +8,11 @@ z -> Hankel(x) is an isometry whose adjoint composed with it is the identity.
 
 The dense constructors exist for testing only.  Everything the solvers touch
 (products with the embedded matrix, its adjoint, and the map from a factor
-pair back to a vector) runs through length-n FFT convolutions and never
-materializes the n1 x n2 matrix.
+pair back to a vector) runs through FFTs of one length, N = next_pow_two(n),
+and never materializes the n1 x n2 matrix.  Every product reads antidiagonal
+indices i + t <= n - 1 < N, so a circular transform of that length never
+wraps around.  Convention: numpy's unnormalized forward DFT, 1/N on the
+inverse.
 
 Indexing is 0-based everywhere in this module's public API.
 """
@@ -20,8 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .transforms import next_pow_two
 
 __all__ = [
     "HankelShape",
@@ -40,6 +41,11 @@ __all__ = [
 
 # dense constructors refuse anything larger than this many matrix entries
 DENSE_ENTRY_CAP = 4_000_000
+
+
+def _fft_length(n: int) -> int:
+    """The one transform length, next_pow_two(n): the smallest power of two >= n."""
+    return 1 << (n - 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -160,12 +166,13 @@ def lowrank_to_signal(L, R, shape: HankelShape) -> WeightedSignal:
     """Apply the embedding adjoint to the outer product L @ R^H.
 
     Each rank-one term contributes one linear convolution of a column of L
-    with the conjugated column of R, so the cost is r FFTs of length O(n)
+    with the conjugated column of R.  Its n1 + n2 - 1 = n outputs fit the
+    transform length, so the cost is 2r + 1 FFTs of length next_pow_two(n)
     instead of forming the n1 x n2 product.
     """
     L, R = _factor_pair(L, R, shape)
     n = shape.n
-    size = next_pow_two(n)
+    size = _fft_length(n)
     fl = np.fft.fft(L, size, axis=0)
     fr = np.fft.fft(R.conj(), size, axis=0)
     z = np.fft.ifft((fl * fr).sum(axis=1))[:n]
@@ -188,34 +195,41 @@ def hankel_rmatvec(sig: WeightedSignal, u) -> np.ndarray:
     return hankel_rmatmat(sig, u[:, None])[:, 0]
 
 
-def hankel_matmat(sig: WeightedSignal, V) -> np.ndarray:
-    """Hankel times an n2 x k block, one FFT per column plus one for the signal.
+def _correlate(y: np.ndarray, W: np.ndarray, rows: int) -> np.ndarray:
+    """Rows i < ``rows`` of sum_t y_{i+t} W_{t,j} for each column j.
 
-    Column j is sum_t x_{i+t} V_{t,j}: a sliding correlation of the raw values
-    against each column, evaluated as a padded convolution with the column
-    reversed.
+    One circular correlation per column at length next_pow_two(n), n = len(y).
+    Callers guarantee i + t <= n - 1, so nothing wraps.  The spectrum of the
+    block is taken unscaled with the inverse transform, which equals
+    conj(fft(conj(W))) and saves conjugating the block.
+    """
+    size = _fft_length(y.size)
+    spec = np.fft.ifft(W, size, axis=0, norm="forward")
+    spec *= np.fft.fft(y, size)[:, None]
+    return np.fft.ifft(spec, axis=0)[:rows]
+
+
+def hankel_matmat(sig: WeightedSignal, V) -> np.ndarray:
+    """Hankel times an n2 x k block: column j is sum_t x_{i+t} V_{t,j}.
+
+    A correlation of the raw values with each column, so the cost is 2k + 1
+    FFTs of length next_pow_two(n).
     """
     V = np.asarray(V, dtype=np.complex128)
-    n1, n2, n = sig.shape.n1, sig.shape.n2, sig.shape.n
+    n1, n2 = sig.shape.n1, sig.shape.n2
     if V.ndim != 2 or V.shape[0] != n2:
         raise ValueError(f"expected n2={n2} rows, got {V.shape}")
-    x = unweight(sig)
-    size = next_pow_two(n + n2 - 1)
-    fx = np.fft.fft(x, size)
-    fv = np.fft.fft(V[::-1, :], size, axis=0)
-    out = np.fft.ifft(fx[:, None] * fv, axis=0)
-    return out[n2 - 1 : n2 - 1 + n1, :]
+    return _correlate(unweight(sig), V, n1)
 
 
 def hankel_rmatmat(sig: WeightedSignal, U) -> np.ndarray:
-    """Conjugate-transposed Hankel times an n1 x k block."""
+    """Conjugate-transposed Hankel times an n1 x k block.
+
+    Row t is sum_i conj(x_{i+t}) U_{i,j}: the same correlation as
+    :func:`hankel_matmat`, run on the conjugated raw values.
+    """
     U = np.asarray(U, dtype=np.complex128)
-    n1, n2, n = sig.shape.n1, sig.shape.n2, sig.shape.n
+    n1, n2 = sig.shape.n1, sig.shape.n2
     if U.ndim != 2 or U.shape[0] != n1:
         raise ValueError(f"expected n1={n1} rows, got {U.shape}")
-    x = unweight(sig)
-    size = next_pow_two(n + n1 - 1)
-    fx = np.fft.fft(x, size)
-    fu = np.fft.fft(U[::-1, :].conj(), size, axis=0)
-    out = np.fft.ifft(fx[:, None] * fu, axis=0)
-    return out[n1 - 1 : n1 - 1 + n2, :].conj()
+    return _correlate(unweight(sig).conj(), U, n2)

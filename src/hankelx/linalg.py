@@ -17,9 +17,7 @@ __all__ = [
     "DegenerateGramError",
     "TruncatedSVD",
     "hermitian_eig",
-    "psd_sqrt",
     "inverse",
-    "thin_qr",
     "truncated_svd",
 ]
 
@@ -55,21 +53,6 @@ def hermitian_eig(H) -> tuple[np.ndarray, np.ndarray]:
     return w, Q
 
 
-def psd_sqrt(H) -> np.ndarray:
-    """Hermitian PSD square root S with S @ S = H.
-
-    Eigenvalues down to -1e-10 * ||H||_2 are clamped to zero; anything more
-    negative means the input was not PSD and is rejected.
-    """
-    w, Q = hermitian_eig(H)
-    top = max(w[-1], 0.0) if w.size else 0.0
-    if w.size and w[0] < -1e-10 * max(top, 1e-300):
-        raise ValueError(f"matrix is not PSD (min eigenvalue {w[0]:.3e})")
-    s = np.sqrt(np.clip(w, 0.0, None))
-    S = (Q * s) @ Q.conj().T
-    return 0.5 * (S + S.conj().T)
-
-
 def inverse(H) -> np.ndarray:
     """Inverse of a small square matrix, refusing near-singular inputs.
 
@@ -91,15 +74,6 @@ def inverse(H) -> np.ndarray:
     if s[-1] < 1e-12 * s[0]:
         raise DegenerateGramError("degenerate factor Gram matrix")
     return np.linalg.solve(H, np.eye(H.shape[0], dtype=np.complex128))
-
-
-def thin_qr(A) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced QR of an n x r block (n >= r)."""
-    A = np.asarray(A, dtype=np.complex128)
-    if A.ndim != 2 or A.shape[0] < A.shape[1]:
-        raise ValueError(f"thin_qr expects n >= r, got {A.shape}")
-    Q, R = np.linalg.qr(A)
-    return Q, R
 
 
 @dataclass
@@ -157,10 +131,10 @@ def truncated_svd(
     rng = np.random.default_rng(seed)
 
     block = rng.standard_normal((n2, width)) + 1j * rng.standard_normal((n2, width))
-    Q, _ = thin_qr(matvec(block))
+    Q, _ = np.linalg.qr(matvec(block))
     for _ in range(power_iters):
-        Z, _ = thin_qr(rmatvec(Q))
-        Q, _ = thin_qr(matvec(Z))
+        Z, _ = np.linalg.qr(rmatvec(Q))
+        Q, _ = np.linalg.qr(matvec(Z))
 
     W = rmatvec(Q)  # (n2, width); the projected matrix is W^H
     w, E = hermitian_eig(W.conj().T @ W)

@@ -31,13 +31,12 @@ from .hankel import (
     lowrank_to_signal,
     antidiagonal_counts,
 )
-from .linalg import DegenerateGramError, inverse, psd_sqrt, truncated_svd
+from .linalg import DegenerateGramError, inverse, truncated_svd
 from .sampling import (
     ObservationPattern,
     SparseEstimate,
     keep_count,
     project_obs,
-    sample_pattern,
     top_k_threshold,
 )
 
@@ -109,7 +108,6 @@ class RecoveryConfig:
     incoherence_bound: float | str = "auto"
     max_iters: int = 1000
     tol_residual: float = 1e-5
-    tol_stagnation: float = 0.0
     seed: int = 0
 
     def validate(self):
@@ -178,18 +176,24 @@ def project_incoherence(L, R, bound: float) -> Factors:
 
     Rows of L are shrunk by min(1, bound / ||L_i (R^H R)^{1/2}||), and rows of
     R symmetrically with (L^H L)^{1/2}; both scalings use the input Gram
-    matrices, not sequentially updated ones.
+    matrices, not sequentially updated ones.  The row norms need no matrix
+    square root: ||L_i G^{1/2}||^2 = Re(L_i G L_i^H), clamped at 0 against
+    roundoff.
     """
     L = np.asarray(L, dtype=np.complex128)
     R = np.asarray(R, dtype=np.complex128)
-    sqrt_gram_r = psd_sqrt(R.conj().T @ R)
-    sqrt_gram_l = psd_sqrt(L.conj().T @ L)
-    row_l = np.linalg.norm(L @ sqrt_gram_r, axis=1)
-    row_r = np.linalg.norm(R @ sqrt_gram_l, axis=1)
+    row_l = _gram_row_norms(L, R.conj().T @ R)
+    row_r = _gram_row_norms(R, L.conj().T @ L)
     with np.errstate(divide="ignore", invalid="ignore"):
         scale_l = np.where(row_l > bound, bound / row_l, 1.0)
         scale_r = np.where(row_r > bound, bound / row_r, 1.0)
     return Factors(scale_l[:, None] * L, scale_r[:, None] * R)
+
+
+def _gram_row_norms(A: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Row norms ||A_i gram^{1/2}|| of A, for a Hermitian PSD gram."""
+    sq = np.einsum("ij,ij->i", A @ gram, A.conj()).real
+    return np.sqrt(np.clip(sq, 0.0, None))
 
 
 @dataclass
@@ -341,7 +345,6 @@ def _run(
     shape: HankelShape,
     config: RecoveryConfig,
     ground_truth: np.ndarray | None = None,
-    resample_from: np.ndarray | None = None,
 ) -> RecoveryReport:
     config.validate()
     f_obs = np.asarray(f_obs, dtype=np.complex128)
@@ -358,7 +361,6 @@ def _run(
     state = _refresh(init.factors, f_obs, pattern, shape, config, 0, bound)
     denom = np.linalg.norm(f_obs)
     records: list[IterationRecord] = []
-    resample_rng = np.random.default_rng(config.seed + 0x5EED) if resample_from is not None else None
 
     def residual_of(st: IterateState) -> float:
         if denom == 0:
@@ -376,24 +378,12 @@ def _run(
     records.append(
         IterationRecord(0, res, error_of(state), time.perf_counter() - start)
     )
-    prev = res
     if res <= config.tol_residual:
         termination = "residual_tol"
     elif not np.isfinite(res):
         termination = "diverged"
     else:
-        for it in range(config.max_iters):
-            if resample_from is not None:
-                pattern = sample_pattern(
-                    pattern.n, pattern.m, pattern.mode,
-                    int(resample_rng.integers(0, 2**63 - 1)),
-                )
-                f_obs = project_obs(resample_from, pattern)
-                state = _refresh(
-                    state.factors, f_obs, pattern, shape, config,
-                    state.iteration, bound,
-                )
-                denom = np.linalg.norm(f_obs)
+        for _ in range(config.max_iters):
             if update == "hsnld":
                 state = hsnld_step(state, f_obs, pattern, shape, config)
             else:
@@ -410,13 +400,6 @@ def _run(
             if not np.isfinite(res):
                 termination = "diverged"
                 break
-            if (
-                config.tol_stagnation > 0
-                and abs(res - prev) <= config.tol_stagnation * max(prev, 1e-300)
-            ):
-                termination = "stagnation"
-                break
-            prev = res
     return RecoveryReport(
         records=records,
         signal=state.z,
@@ -446,16 +429,13 @@ def run_hsnld(
     shape: HankelShape,
     config: RecoveryConfig,
     ground_truth=None,
-    resample_from=None,
 ) -> RecoveryReport:
     """Full solve: spectral initialization then preconditioned iterations.
 
-    Stops at the relative observed residual tolerance, on stagnation (when
-    enabled), or at the iteration cap.  ``resample_from`` redraws the
-    observation pattern from the given complete data vector every iteration
-    (theory-validation mode only; default off).
+    Stops at the relative observed residual tolerance, on a non-finite
+    residual, or at the iteration cap.
     """
-    return _run("hsnld", f_obs, pattern, shape, config, ground_truth, resample_from)
+    return _run("hsnld", f_obs, pattern, shape, config, ground_truth)
 
 
 def run_plain_gd(
@@ -466,7 +446,7 @@ def run_plain_gd(
     ground_truth=None,
 ) -> RecoveryReport:
     """Unpreconditioned baseline with the same stopping rules."""
-    return _run("plaingd", f_obs, pattern, shape, config, ground_truth, None)
+    return _run("plaingd", f_obs, pattern, shape, config, ground_truth)
 
 
 def _exact_alignment_objective(Q, L, R, L_star, R_star, col_scale) -> float:

@@ -15,7 +15,6 @@ __all__ = [
     "sample_pattern",
     "project_obs",
     "top_k_threshold",
-    "sparsify_residual",
     "keep_count",
 ]
 
@@ -150,11 +149,3 @@ def keep_count(gamma: float, alpha: float, m: int, n: int) -> int:
     """
     return int(min(max(math.ceil(gamma * alpha * m - 1e-9), 0), n))
 
-
-def sparsify_residual(f_obs, z, pattern: ObservationPattern, k: int) -> SparseEstimate:
-    """Hard-threshold the observed residual f - z down to its k largest entries."""
-    f_obs = np.asarray(f_obs, dtype=np.complex128)
-    z = np.asarray(z, dtype=np.complex128)
-    if f_obs.shape != z.shape:
-        raise ValueError("f and z must have equal length")
-    return top_k_threshold(project_obs(f_obs - z, pattern), k)

@@ -201,21 +201,25 @@ def test_matmat_basis_columns(rng):
 
 
 def test_fast_dense_equivalence_across_sizes(rng):
-    for n in (7, 64, 101, 255):
-        shape = HankelShape.square(n)
-        sig = WeightedSignal(shape, rand_complex(rng, n))
-        r = min(4, shape.n2)
-        dense = hankel_dense(sig)
-        V = rand_complex(rng, shape.n2, r)
-        U = rand_complex(rng, shape.n1, r)
-        assert rel_err(hankel_matmat(sig, V), dense @ V) <= 1e-11
-        assert rel_err(hankel_rmatmat(sig, U), dense.conj().T @ U) <= 1e-11
-        L = rand_complex(rng, shape.n1, r)
-        R = rand_complex(rng, shape.n2, r)
-        assert rel_err(
-            lowrank_to_signal(L, R, shape).z,
-            hankel_adjoint_dense(L @ R.conj().T, shape).z,
-        ) <= 1e-11
+    # lengths on both sides of a power of two (n = 2^k leaves the transform no
+    # slack) and the extreme row/column splits as well as the square one
+    r = 4
+    for n in (1, 2, 7, 64, 101, 127, 128, 129, 255):
+        splits = {HankelShape.square(n).n1, 1, 2, n - 1, n}
+        for n1 in sorted(n1 for n1 in splits if 1 <= n1 <= n):
+            shape = HankelShape(n1, n - n1 + 1)
+            sig = WeightedSignal(shape, rand_complex(rng, n))
+            dense = hankel_dense(sig)
+            V = rand_complex(rng, shape.n2, r)
+            U = rand_complex(rng, shape.n1, r)
+            assert rel_err(hankel_matmat(sig, V), dense @ V) <= 1e-11, shape
+            assert rel_err(hankel_rmatmat(sig, U), dense.conj().T @ U) <= 1e-11, shape
+            L = rand_complex(rng, shape.n1, r)
+            R = rand_complex(rng, shape.n2, r)
+            assert rel_err(
+                lowrank_to_signal(L, R, shape).z,
+                hankel_adjoint_dense(L @ R.conj().T, shape).z,
+            ) <= 1e-11, shape
 
 
 def test_dimension_mismatches(rng):

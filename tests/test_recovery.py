@@ -270,34 +270,6 @@ def test_run_hsnld_trace_shape_and_determinism():
     np.testing.assert_array_equal(a.signal.z, b.signal.z)
 
 
-def test_run_hsnld_resample_mode_converges():
-    n, r = 101, 2
-    sig, _ = spectral_signal(n, r, 2.0, seed=95)
-    full = sample_pattern(n, n, WITHOUT_REPLACEMENT, seed=96)
-    f_full = sig.z.copy()
-    pattern = sample_pattern(n, 85, WITHOUT_REPLACEMENT, seed=97)
-    f_obs = project_obs(f_full, pattern)
-    config = RecoveryConfig(rank=r, alpha=0.0, max_iters=200)
-    report = run_hsnld(f_obs, pattern, sig.shape, config,
-                       ground_truth=sig.z, resample_from=f_full)
-    assert report.termination == "residual_tol"
-    assert report.final_error <= 1e-3
-
-
-def test_run_hsnld_stagnation_stop():
-    # with the residual tolerance disabled, the run bottoms out at the
-    # numerical floor and the stagnation rule has to end it
-    n, r = 101, 2
-    sig, _ = spectral_signal(n, r, 2.0, seed=141)
-    pattern = sample_pattern(n, n, WITHOUT_REPLACEMENT, seed=142)
-    f_obs = project_obs(sig.z, pattern)
-    config = RecoveryConfig(rank=r, alpha=0.0, tol_residual=0.0,
-                            tol_stagnation=1e-6, max_iters=200)
-    report = run_hsnld(f_obs, pattern, sig.shape, config, ground_truth=sig.z)
-    assert report.termination == "stagnation"
-    assert report.final_error <= 1e-10
-
-
 def test_run_hsnld_with_replacement_diagnostic_mode():
     n, r = 101, 2
     sig, _ = spectral_signal(n, r, 2.0, seed=151)

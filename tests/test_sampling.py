@@ -10,7 +10,6 @@ from hankelx.sampling import (
     keep_count,
     project_obs,
     sample_pattern,
-    sparsify_residual,
     top_k_threshold,
 )
 
@@ -130,35 +129,6 @@ def test_sparse_estimate_guards():
         SparseEstimate(np.array([1.0, 0.0]), np.array([1]))
     est = SparseEstimate(np.array([0.0, 2.0]))
     np.testing.assert_array_equal(est.support, [1])
-
-
-def test_sparsify_residual_zero_when_equal(rng):
-    n = 12
-    pat = sample_pattern(n, 8, WITHOUT_REPLACEMENT, seed=1)
-    f = rand_complex(rng, n)
-    est = sparsify_residual(f, f, pat, 5)
-    np.testing.assert_array_equal(est.s, np.zeros(n))
-
-
-def test_sparsify_residual_single_corruption(rng):
-    n = 16
-    pat = sample_pattern(n, 10, WITHOUT_REPLACEMENT, seed=2)
-    z = rand_complex(rng, n)
-    f = project_obs(z, pat)
-    hit = pat.indices[3]
-    f[hit] += 25.0
-    est = sparsify_residual(f, z, pat, 1)
-    np.testing.assert_array_equal(est.support, [hit])
-    assert abs(est.s[hit] - 25.0) <= 1e-12
-
-
-def test_sparsify_residual_support_in_pattern(rng):
-    n = 40
-    pat = sample_pattern(n, 15, WITHOUT_REPLACEMENT, seed=3)
-    f = project_obs(rand_complex(rng, n), pat)
-    z = rand_complex(rng, n)
-    est = sparsify_residual(f, z, pat, 9)
-    assert set(est.support) <= set(pat.indices)
 
 
 def _weighted_sparsified(f_obs, z, pattern, sqrt_counts, k):
