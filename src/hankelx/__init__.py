@@ -36,7 +36,6 @@ from .recovery import (
     RecoveryConfig,
     RecoveryReport,
     SolverError,
-    approx_dist,
     default_gamma,
     hsnld_step,
     project_incoherence,
@@ -63,9 +62,7 @@ from .signals import (
     doa_signal,
     inject_outliers,
     load_signal,
-    load_signal_csv,
     save_signal,
-    save_signal_csv,
     spectral_signal,
 )
 

@@ -9,8 +9,9 @@ Command parameters come from an optional JSON config file plus overrides
 given either as ``key=value`` tokens or ``--key value`` pairs; overrides win.
 Unknown keys are rejected.  Every output (CSV with LF endings and '.' decimal
 separators, JSON with a stable key order) is a pure function of the seed and
-configuration: grid trials derive per-cell seeds by hashing, so results do
-not depend on --threads or scheduling.
+configuration: grid trials derive per-cell seeds by hashing and run in order
+on the calling thread.  ``--threads N`` is accepted for compatibility and
+checked (N >= 1); it does not change how or what a command computes.
 
 Exit codes: 0 command completed and wrote its report, 1 solver error,
 2 usage/configuration error.
@@ -22,10 +23,8 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -237,6 +236,19 @@ def _make_instance(n, r, kappa, m, alpha, magnitude_scale, mode, seed):
     return sig, pattern, f_obs, s_true
 
 
+def _solver_config(params: dict, rank, alpha, seed, bound="auto") -> RecoveryConfig:
+    """Solver settings shared by every command; the solver seed derives from ``seed``."""
+    return RecoveryConfig(
+        rank=rank,
+        alpha=alpha,
+        eta=params["eta"],
+        incoherence_bound=bound,
+        max_iters=params["max_iters"],
+        tol_residual=params["tol_residual"],
+        seed=derive_seed(seed, "solver"),
+    )
+
+
 def _trial_success(report: RecoveryReport) -> bool:
     return (
         report.termination == "residual_tol"
@@ -250,7 +262,7 @@ def _trial_success(report: RecoveryReport) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen(params: dict, seed: int, out: Path, threads: int) -> int:
+def cmd_gen(params: dict, seed: int, out: Path) -> int:
     kind = params["kind"]
     if kind not in ("spectral", "doa"):
         raise ConfigError("kind must be 'spectral' or 'doa'")
@@ -330,7 +342,7 @@ def _load_instance_dir(path: Path):
     return observed, pattern, truth, meta
 
 
-def cmd_recover(params: dict, seed: int, out: Path, threads: int) -> int:
+def cmd_recover(params: dict, seed: int, out: Path) -> int:
     if not params["input"]:
         raise ConfigError("recover needs input=DIR pointing at generated files")
     observed, pattern, truth, meta = _load_instance_dir(Path(params["input"]))
@@ -342,15 +354,7 @@ def cmd_recover(params: dict, seed: int, out: Path, threads: int) -> int:
         alpha = float(meta.get("alpha", 0.0))
     if params["solver"] not in ("hsnld", "plaingd"):
         raise ConfigError("solver must be 'hsnld' or 'plaingd'")
-    config = RecoveryConfig(
-        rank=rank,
-        alpha=alpha,
-        eta=params["eta"],
-        incoherence_bound=params["bound"],
-        max_iters=params["max_iters"],
-        tol_residual=params["tol_residual"],
-        seed=derive_seed(seed, "solver"),
-    )
+    config = _solver_config(params, rank, alpha, seed, bound=params["bound"])
     runner = run_hsnld if params["solver"] == "hsnld" else run_plain_gd
     start = time.perf_counter()
     report = runner(
@@ -380,7 +384,7 @@ def cmd_recover(params: dict, seed: int, out: Path, threads: int) -> int:
     return 0
 
 
-def cmd_converge(params: dict, seed: int, out: Path, threads: int) -> int:
+def cmd_converge(params: dict, seed: int, out: Path) -> int:
     kappas = params["kappas"]
     if not kappas:
         raise ConfigError("converge needs a nonempty kappas list")
@@ -403,14 +407,7 @@ def cmd_converge(params: dict, seed: int, out: Path, threads: int) -> int:
                         n, params["r"], kappa, m, params["alpha"],
                         params["magnitude_scale"], WITHOUT_REPLACEMENT, cell_seed,
                     )
-                    config = RecoveryConfig(
-                        rank=params["r"],
-                        alpha=params["alpha"],
-                        eta=params["eta"],
-                        max_iters=params["max_iters"],
-                        tol_residual=params["tol_residual"],
-                        seed=derive_seed(cell_seed, "solver"),
-                    )
+                    config = _solver_config(params, params["r"], params["alpha"], cell_seed)
                     traces.append(runner(f_obs, pattern, sig.shape, config, ground_truth=sig.z))
             except (RuntimeError, ValueError) as exc:
                 status = f"error: {exc}"
@@ -469,56 +466,29 @@ def _phase_trial(params, seed, x_axis, y_axis, x, y, trial):
             n, rank, params["kappa"], m, alpha,
             params["magnitude_scale"], WITHOUT_REPLACEMENT, trial_seed,
         )
-        config = RecoveryConfig(
-            rank=rank,
-            alpha=alpha,
-            eta=params["eta"],
-            max_iters=params["max_iters"],
-            tol_residual=params["tol_residual"],
-            seed=derive_seed(trial_seed, "solver"),
-        )
+        config = _solver_config(params, rank, alpha, trial_seed)
         report = run_hsnld(f_obs, pattern, sig.shape, config, ground_truth=sig.z)
         return _trial_success(report)
     except (SolverError, ValueError, RuntimeError):
         return False
 
 
-def cmd_phase(params: dict, seed: int, out: Path, threads: int) -> int:
+def cmd_phase(params: dict, seed: int, out: Path) -> int:
     (x_axis, x_values), (y_axis, y_values) = _phase_axes(params)
     trials = params["trials"]
-    tasks = [
-        (ix, iy, t)
-        for ix in range(len(x_values))
-        for iy in range(len(y_values))
-        for t in range(trials)
-    ]
-    results = np.zeros((len(x_values), len(y_values)), dtype=np.int64)
-
-    def work(task):
-        ix, iy, t = task
-        return ix, iy, _phase_trial(
-            params, seed, x_axis, y_axis, x_values[ix], y_values[iy], t
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(work, tasks))
-    else:
-        outcomes = [work(task) for task in tasks]
-    for ix, iy, ok in outcomes:
-        if ok:
-            results[ix, iy] += 1
-
     rows = []
-    for ix, x in enumerate(x_values):
-        for iy, y in enumerate(y_values):
-            rows.append([_fmt(float(x)), _fmt(float(y)), int(results[ix, iy]), trials])
+    for x in x_values:
+        for y in y_values:
+            successes = sum(
+                _phase_trial(params, seed, x_axis, y_axis, x, y, t) for t in range(trials)
+            )
+            rows.append([_fmt(float(x)), _fmt(float(y)), successes, trials])
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "phase.csv", [x_axis, y_axis, "successes", "trials"], rows)
     return 0
 
 
-def cmd_doa(params: dict, seed: int, out: Path, threads: int) -> int:
+def cmd_doa(params: dict, seed: int, out: Path) -> int:
     n = params["n"]
     thetas = params["thetas"]
     rank = params["r"] or len(thetas)
@@ -527,14 +497,7 @@ def cmd_doa(params: dict, seed: int, out: Path, threads: int) -> int:
     pattern = sample_pattern(n, m, WITHOUT_REPLACEMENT, seed=derive_seed(seed, "pattern"))
     spec = OutlierSpec(params["alpha"], params["magnitude_scale"], seed=derive_seed(seed, "outliers"))
     f_obs, _ = inject_outliers(sig, pattern, spec)
-    config = RecoveryConfig(
-        rank=rank,
-        alpha=params["alpha"],
-        eta=params["eta"],
-        max_iters=params["max_iters"],
-        tol_residual=params["tol_residual"],
-        seed=derive_seed(seed, "solver"),
-    )
+    config = _solver_config(params, rank, params["alpha"], seed)
     start = time.perf_counter()
     report = run_hsnld(f_obs, pattern, sig.shape, config, ground_truth=sig.z)
     seconds = time.perf_counter() - start
@@ -578,7 +541,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         seed = 0
-        threads = None
         out = Path(".")
         config_file = None
         rest = []
@@ -594,7 +556,9 @@ def main(argv: list[str] | None = None) -> int:
                 elif tok == "--seed":
                     seed = int(value)
                 elif tok == "--threads":
-                    threads = int(value)
+                    # accepted and checked; trials always run on one thread
+                    if int(value) < 1:
+                        raise ConfigError("threads must be >= 1")
                 else:
                     out = Path(value)
                 i += 2
@@ -613,12 +577,7 @@ def main(argv: list[str] | None = None) -> int:
         if "seed" in raw:
             seed = int(raw.pop("seed"))
         params = _apply_schema(command, raw)
-        if threads is None:
-            env = os.environ.get("HANKELX_THREADS")
-            threads = int(env) if env else (os.cpu_count() or 1)
-        if threads < 1:
-            raise ConfigError("threads must be >= 1")
-        return _COMMANDS[command](params, seed, out, threads)
+        return _COMMANDS[command](params, seed, out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -54,26 +54,19 @@ def hermitian_eig(H) -> tuple[np.ndarray, np.ndarray]:
 
 
 def inverse(H) -> np.ndarray:
-    """Inverse of a small square matrix, refusing near-singular inputs.
+    """Inverse of a small Hermitian matrix (a factor Gram), refusing rank collapse.
 
-    Hermitian inputs (the factor Grams) are conditioned-checked through their
-    eigenvalues and raise :class:`DegenerateGramError` on rank collapse;
-    general inputs are checked through their singular values.
+    Non-Hermitian input raises ``ValueError`` through :func:`hermitian_eig`;
+    a zero or numerically singular input raises :class:`DegenerateGramError`.
     """
     H = _square(H, "H")
-    scale = np.linalg.norm(H)
-    if scale == 0:
+    if not np.any(H):
         raise DegenerateGramError("degenerate factor Gram matrix (zero input)")
-    if np.linalg.norm(H - H.conj().T) <= 1e-10 * scale:
-        w, Q = hermitian_eig(H)
-        wabs = np.abs(w)
-        if wabs.min() < 1e-12 * wabs.max():
-            raise DegenerateGramError("degenerate factor Gram matrix")
-        return (Q * (1.0 / w)) @ Q.conj().T
-    s = np.linalg.svd(H, compute_uv=False)
-    if s[-1] < 1e-12 * s[0]:
+    w, Q = hermitian_eig(H)
+    wabs = np.abs(w)
+    if wabs.min() < 1e-12 * wabs.max():
         raise DegenerateGramError("degenerate factor Gram matrix")
-    return np.linalg.solve(H, np.eye(H.shape[0], dtype=np.complex128))
+    return (Q * (1.0 / w)) @ Q.conj().T
 
 
 @dataclass
@@ -115,14 +108,15 @@ def truncated_svd(
 
     ``matvec`` and ``rmatvec`` must accept 2-D blocks: (n2, k) -> (n1, k) and
     (n1, k) -> (n2, k).  Subspace iteration starts from a complex Gaussian
-    block of width rank + oversample, re-orthonormalizes with a thin QR after
+    block of width rank + oversample (by default max(10, 2*rank), clamped so
+    the width fits in min(n1, n2)), re-orthonormalizes with a thin QR after
     every half-step, and finishes with an eigendecomposition of the small
     projected Gram matrix.  Fully determined by ``seed``.
     """
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
+    if not 1 <= rank <= min(n1, n2):
+        raise ValueError(f"rank {rank} not in [1, {min(n1, n2)}]")
     if oversample is None:
-        oversample = max(10, 2 * rank)
+        oversample = min(max(10, 2 * rank), min(n1, n2) - rank)
     width = rank + oversample
     if width > min(n1, n2):
         raise ValueError(

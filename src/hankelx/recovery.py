@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -54,7 +53,6 @@ __all__ = [
     "run_hsnld",
     "run_plain_gd",
     "recovery_error",
-    "approx_dist",
 ]
 
 
@@ -104,7 +102,6 @@ class RecoveryConfig:
     rank: int
     alpha: float
     eta: float = 0.5
-    gamma: Callable[[int], float] | None = None
     incoherence_bound: float | str = "auto"
     max_iters: int = 1000
     tol_residual: float = 1e-5
@@ -124,12 +121,6 @@ class RecoveryConfig:
             raise ValueError("incoherence_bound must be positive")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
-
-    def gamma_at(self, k: int) -> float:
-        g = (self.gamma or default_gamma)(k)
-        if g <= 1.0:
-            raise ValueError(f"gamma must stay > 1, got {g} at k={k}")
-        return g
 
 
 @dataclass
@@ -242,14 +233,12 @@ def spectral_init(
     s0 = SparseEstimate(kept.s * sqrt_counts, kept.support)
 
     cleaned = WeightedSignal(shape, (f_obs - s0.s) / pattern.rate)
-    oversample = min(max(10, 2 * rank), min(n1, n2) - rank)
     tsvd = truncated_svd(
         matvec=lambda V: hankel_matmat(cleaned, V),
         rmatvec=lambda U: hankel_rmatmat(cleaned, U),
         n1=n1,
         n2=n2,
         rank=rank,
-        oversample=oversample,
         seed=seed,
     )
     sigma1 = float(tsvd.S[0])
@@ -283,7 +272,7 @@ def _refresh(
     factors: Factors, f_obs, pattern, shape, config, iteration, bound=None
 ) -> IterateState:
     z = lowrank_to_signal(factors.L, factors.R, shape)
-    k = keep_count(config.gamma_at(iteration), config.alpha, pattern.m, shape.n)
+    k = keep_count(default_gamma(iteration), config.alpha, pattern.m, shape.n)
     s = top_k_threshold(f_obs - project_obs(z.z, pattern), k)
     return IterateState(factors=factors, z=z, s=s, iteration=iteration, bound=bound)
 
@@ -447,98 +436,3 @@ def run_plain_gd(
 ) -> RecoveryReport:
     """Unpreconditioned baseline with the same stopping rules."""
     return _run("plaingd", f_obs, pattern, shape, config, ground_truth)
-
-
-def _exact_alignment_objective(Q, L, R, L_star, R_star, col_scale) -> float:
-    try:
-        P = np.linalg.inv(Q).conj().T
-    except np.linalg.LinAlgError:
-        return float("inf")
-    t1 = np.linalg.norm((L @ Q - L_star) * col_scale[None, :]) ** 2
-    t2 = np.linalg.norm((R @ P - R_star) * col_scale[None, :]) ** 2
-    return float(t1 + t2)
-
-
-def approx_dist(
-    factors: Factors,
-    L_star,
-    R_star,
-    sigma_star,
-    rounds: int = 50,
-    tol: float = 1e-10,
-) -> float:
-    """Upper bound on the alignment-optimal weighted factor distance.
-
-    The distance minimizes, over invertible alignments Q, the sum of weighted
-    Frobenius gaps of (L Q, R Q^{-H}) to the reference pair.  We relax the two
-    occurrences of Q into a coupled pair (Q, P), alternate per-column least
-    squares on each, and evaluate the exact single-Q objective at every
-    candidate, returning the square root of the best value seen.  Because the
-    exact objective is evaluated at a feasible Q, the result always upper
-    bounds the true infimum.
-    """
-    L = np.asarray(factors.L, dtype=np.complex128)
-    R = np.asarray(factors.R, dtype=np.complex128)
-    L_star = np.asarray(L_star, dtype=np.complex128)
-    R_star = np.asarray(R_star, dtype=np.complex128)
-    sigma = np.asarray(sigma_star, dtype=np.float64)
-    r = L.shape[1]
-    col_scale = np.sqrt(sigma)
-
-    def lstsq(A, B):
-        return np.linalg.lstsq(A, B, rcond=None)[0]
-
-    Q = lstsq(L, L_star)
-    P = lstsq(R, R_star)
-    candidates = [Q]
-    try:
-        candidates.append(np.linalg.inv(P).conj().T)
-    except np.linalg.LinAlgError:
-        pass
-    scored = [
-        (c, _exact_alignment_objective(c, L, R, L_star, R_star, col_scale))
-        for c in candidates
-    ]
-    scored = [sc for sc in scored if np.isfinite(sc[1])]
-    if not scored:
-        raise RuntimeError("singular alternation system")
-    Q, best = min(scored, key=lambda sc: sc[1])
-    P = np.linalg.inv(Q).conj().T
-
-    gram_l = L.conj().T @ L
-    gram_r = R.conj().T @ R
-    target_l = L.conj().T @ L_star
-    target_r = R.conj().T @ R_star
-    rho = float(sigma.mean()) * max(
-        np.linalg.norm(gram_l, 2), np.linalg.norm(gram_r, 2), 1e-300
-    )
-    for _ in range(rounds):
-        coupling = rho * (P @ P.conj().T)
-        new_q = np.empty_like(Q)
-        for j in range(r):
-            A = sigma[j] * gram_l + coupling
-            new_q[:, j] = np.linalg.solve(A, sigma[j] * target_l[:, j] + rho * P[:, j])
-        coupling = rho * (new_q @ new_q.conj().T)
-        new_p = np.empty_like(P)
-        for j in range(r):
-            A = sigma[j] * gram_r + coupling
-            new_p[:, j] = np.linalg.solve(
-                A, sigma[j] * target_r[:, j] + rho * new_q[:, j]
-            )
-        Q, P = new_q, new_p
-        val = _exact_alignment_objective(Q, L, R, L_star, R_star, col_scale)
-        try:
-            val_p = _exact_alignment_objective(
-                np.linalg.inv(P).conj().T, L, R, L_star, R_star, col_scale
-            )
-        except np.linalg.LinAlgError:
-            val_p = float("inf")
-        current = min(val, val_p)
-        if current < best:
-            improved = best - current
-            best = current
-            if improved <= tol * max(best, 1e-300):
-                break
-        else:
-            break
-    return math.sqrt(best)

@@ -1,16 +1,12 @@
 """Synthetic spectrally sparse signals, array snapshots, and outlier injection.
 
-Signal files come in two interchangeable flavors, both storing the raw
-(unweighted) antidiagonal values so weights can be recomputed on load:
-
-* binary: magic ``HNKZ``, u32 version=1, u64 n, u32 n1, then n interleaved
-  little-endian f64 (re, im) pairs;
-* CSV: header ``index,re,im``, one row per entry.
+Signal files store the raw (unweighted) antidiagonal values so weights can be
+recomputed on load: magic ``HNKZ``, u32 version=1, u64 n, u32 n1, then n
+interleaved little-endian f64 (re, im) pairs.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
 from dataclasses import dataclass
@@ -39,8 +35,6 @@ __all__ = [
     "condition_number",
     "save_signal",
     "load_signal",
-    "save_signal_csv",
-    "load_signal_csv",
 ]
 
 _MAGIC = b"HNKZ"
@@ -112,7 +106,7 @@ def spectral_signal(
     return reweight(x, shape), model
 
 
-def doa_signal(n: int, thetas_deg, gains=None, shape: HankelShape | None = None) -> WeightedSignal:
+def doa_signal(n: int, thetas_deg, gains=None) -> WeightedSignal:
     """Uniform-linear-array snapshot for far-field sources at the given angles.
 
     Sensor j (0-based) sees sum_i g_i * exp(-pi*1j*j*sin(theta_i)) under
@@ -124,14 +118,10 @@ def doa_signal(n: int, thetas_deg, gains=None, shape: HankelShape | None = None)
     gains = np.atleast_1d(np.asarray(gains, dtype=np.complex128))
     if thetas.size != gains.size or thetas.size < 1:
         raise ValueError("thetas and gains must have equal positive length")
-    if shape is None:
-        shape = HankelShape.square(n)
-    if shape.n != n:
-        raise ValueError("shape does not match n")
     j = np.arange(n)
     phases = -1j * np.pi * np.outer(j, np.sin(np.deg2rad(thetas)))
     x = (np.exp(phases) * gains[None, :]).sum(axis=1)
-    return reweight(x, shape)
+    return reweight(x, HankelShape.square(n))
 
 
 def inject_outliers(
@@ -180,14 +170,12 @@ def condition_number(sig: WeightedSignal, r: int, seed: int = 0) -> ConditionEst
     if r < 1 or r > min(n1, n2):
         raise ValueError(f"rank {r} not in [1, {min(n1, n2)}]")
     probe = r + 1 if r + 1 <= min(n1, n2) else r
-    oversample = min(max(10, 2 * probe), min(n1, n2) - probe)
     tsvd = truncated_svd(
         matvec=lambda V: hankel_matmat(sig, V),
         rmatvec=lambda U: hankel_rmatmat(sig, U),
         n1=n1,
         n2=n2,
         rank=probe,
-        oversample=oversample,
         seed=seed,
     )
     s = tsvd.S
@@ -223,26 +211,3 @@ def load_signal(path) -> WeightedSignal:
     x = payload[0::2] + 1j * payload[1::2]
     return reweight(x, HankelShape(int(n1), int(n) - int(n1) + 1))
 
-
-def save_signal_csv(path, sig: WeightedSignal) -> None:
-    """CSV flavor of the signal format (index, re, im); square shape on load."""
-    x = unweight(sig)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "re", "im"])
-        for i, v in enumerate(x):
-            writer.writerow([i, repr(float(v.real)), repr(float(v.imag))])
-
-
-def load_signal_csv(path) -> WeightedSignal:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:3] != ["index", "re", "im"]:
-            raise ValueError(f"{path}: unexpected header {header}")
-        for row in reader:
-            rows.append((int(row[0]), float(row[1]), float(row[2])))
-    rows.sort()
-    x = np.array([re + 1j * im for _, re, im in rows], dtype=np.complex128)
-    return reweight(x, HankelShape.square(x.size))

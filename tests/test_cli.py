@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hankelx
 from hankelx.cli import derive_seed, main
 from hankelx.signals import condition_number, load_signal
 
@@ -137,6 +140,7 @@ def test_phase_thread_count_does_not_change_bytes(tmp_path):
     assert run_cli(*args, "--out", str(out1), "--threads", "1") == 0
     assert run_cli(*args, "--out", str(out2), "--threads", "3") == 0
     assert (out1 / "phase.csv").read_bytes() == (out2 / "phase.csv").read_bytes()
+    assert run_cli(*args, "--out", str(tmp_path / "t0"), "--threads", "0") == 2
 
 
 def test_doa_full_observation_variant(tmp_path):
@@ -157,16 +161,6 @@ def test_doa_rank_mismatch_fails_gracefully(tmp_path):
     assert summary["success"] is False
 
 
-def test_env_threads_honored(tmp_path, monkeypatch):
-    monkeypatch.setenv("HANKELX_THREADS", "2")
-    out = tmp_path / "phase"
-    assert run_cli("phase", "--out", str(out), "--seed", "2", "n=64", "r=2",
-                   "kappa=2", "m_values=64", "alpha_values=0", "trials=2") == 0
-    monkeypatch.setenv("HANKELX_THREADS", "0")
-    assert run_cli("phase", "--out", str(out), "--seed", "2", "n=64", "r=2",
-                   "kappa=2", "m_values=64", "alpha_values=0", "trials=2") == 2
-
-
 def test_config_file_with_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "spectral", "n": 64, "r": 2, "seed": 11}))
@@ -180,11 +174,15 @@ def test_config_file_with_override(tmp_path):
 
 
 def test_module_entry_point(tmp_path):
+    # the child imports the same package the suite imports, installed or not
+    src = str(Path(hankelx.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "hankelx", "gen", "--out", str(tmp_path),
          "kind=spectral", "n=64", "r=2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "signal.hnkz").is_file()

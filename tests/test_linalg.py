@@ -64,8 +64,11 @@ def test_hermitian_eig_rejects_skew(rng):
 def test_inverse_examples(rng):
     np.testing.assert_allclose(inverse(np.eye(3)), np.eye(3), atol=1e-14)
     np.testing.assert_allclose(inverse(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]), atol=1e-14)
-    H = rand_complex(rng, 6, 6) + 6 * np.eye(6)
+    A = rand_complex(rng, 6, 6)
+    H = A.conj().T @ A + np.eye(6)  # Hermitian positive definite
     assert rel_err(H @ inverse(H), np.eye(6)) <= 1e-10
+    with pytest.raises(ValueError, match="not Hermitian"):
+        inverse(A + 6 * np.eye(6))
 
 
 def test_inverse_degenerate():
@@ -73,7 +76,7 @@ def test_inverse_degenerate():
     with pytest.raises(DegenerateGramError, match="degenerate factor Gram matrix"):
         inverse(H)
     bad = np.array([[1.0, 2.0], [0.5, 1.0]])  # singular, non-Hermitian
-    with pytest.raises(DegenerateGramError):
+    with pytest.raises(ValueError, match="not Hermitian"):
         inverse(bad)
 
 

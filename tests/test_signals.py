@@ -9,9 +9,7 @@ from hankelx.signals import (
     doa_signal,
     inject_outliers,
     load_signal,
-    load_signal_csv,
     save_signal,
-    save_signal_csv,
     spectral_signal,
 )
 
@@ -174,15 +172,3 @@ def test_signal_binary_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ValueError, match="magic"):
         load_signal(path)
-
-
-def test_signal_csv_roundtrip(tmp_path):
-    sig, _ = spectral_signal(64, 2, 3.0, seed=19)
-    path = tmp_path / "sig.csv"
-    save_signal_csv(path, sig)
-    again = load_signal_csv(path)
-    np.testing.assert_allclose(again.z, sig.z, rtol=1e-14, atol=0)
-    text = path.read_text()
-    assert text.startswith("index,re,im\n")
-    assert "\r" not in text
-    np.testing.assert_array_equal(load_signal_csv(path).z, again.z)
