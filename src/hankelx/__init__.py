@@ -17,7 +17,6 @@ from .hankel import (
     hankel_matmat,
     hankel_matvec,
     hankel_rmatmat,
-    hankel_rmatvec,
     lowrank_to_signal,
     reweight,
     unweight,

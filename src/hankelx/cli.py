@@ -30,14 +30,13 @@ from pathlib import Path
 import numpy as np
 
 from .hankel import HankelShape, WeightedSignal
-from .recovery import (
-    RecoveryConfig,
-    RecoveryReport,
-    SolverError,
-    run_hsnld,
-    run_plain_gd,
+from .recovery import RecoveryConfig, RecoveryReport, run_hsnld, run_plain_gd
+from .sampling import (
+    WITHOUT_REPLACEMENT,
+    WITH_REPLACEMENT,
+    ObservationPattern,
+    sample_pattern,
 )
-from .sampling import WITHOUT_REPLACEMENT, WITH_REPLACEMENT, sample_pattern
 from .signals import (
     OutlierSpec,
     doa_signal,
@@ -183,6 +182,13 @@ def _parse_overrides(tokens: list[str]) -> dict:
     return raw
 
 
+def _parse_int(name: str, value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
+
+
 def derive_seed(*parts) -> int:
     """Stable 64-bit seed from arbitrary labeled parts."""
     h = hashlib.blake2b(digest_size=8)
@@ -227,13 +233,18 @@ def _trace_rows(report: RecoveryReport):
         ]
 
 
-def _make_instance(n, r, kappa, m, alpha, magnitude_scale, mode, seed):
-    """Deterministic synthetic instance from one derived seed."""
-    sig, model = spectral_signal(n, r, kappa, seed=derive_seed(seed, "signal"))
-    pattern = sample_pattern(n, m, mode, seed=derive_seed(seed, "pattern"))
+def _observe(sig, m, mode, alpha, magnitude_scale, seed):
+    """Sampling pattern, corrupted observations and planted outliers of ``sig``."""
+    pattern = sample_pattern(sig.shape.n, m, mode, seed=derive_seed(seed, "pattern"))
     spec = OutlierSpec(alpha, magnitude_scale, seed=derive_seed(seed, "outliers"))
     f_obs, s_true = inject_outliers(sig, pattern, spec)
-    return sig, pattern, f_obs, s_true
+    return pattern, f_obs, s_true
+
+
+def _make_instance(n, r, kappa, m, alpha, magnitude_scale, seed):
+    """Deterministic synthetic instance (without-replacement sampling) from one seed."""
+    sig, _ = spectral_signal(n, r, kappa, seed=derive_seed(seed, "signal"))
+    return (sig, *_observe(sig, m, WITHOUT_REPLACEMENT, alpha, magnitude_scale, seed))
 
 
 def _solver_config(params: dict, rank, alpha, seed, bound="auto") -> RecoveryConfig:
@@ -291,9 +302,7 @@ def cmd_gen(params: dict, seed: int, out: Path) -> int:
     if scale < 0:
         scale = 10.0 if kind == "spectral" else 1.0
 
-    pattern = sample_pattern(n, m, params["mode"], seed=derive_seed(seed, "pattern"))
-    spec = OutlierSpec(alpha, scale, seed=derive_seed(seed, "outliers"))
-    f_obs, s_true = inject_outliers(sig, pattern, spec)
+    pattern, f_obs, s_true = _observe(sig, m, params["mode"], alpha, scale, seed)
 
     out.mkdir(parents=True, exist_ok=True)
     save_signal(out / "signal.hnkz", sig)
@@ -333,8 +342,6 @@ def _load_instance_dir(path: Path):
     if (path / "meta.json").is_file():
         meta = json.loads((path / "meta.json").read_text())
     mode = meta.get("mode", WITHOUT_REPLACEMENT)
-    from .sampling import ObservationPattern
-
     pattern = ObservationPattern(n=observed.shape.n, indices=indices, mode=mode)
     truth = None
     if (path / "signal.hnkz").is_file():
@@ -405,7 +412,7 @@ def cmd_converge(params: dict, seed: int, out: Path) -> int:
                     cell_seed = derive_seed(seed, "converge", kappa, t)
                     sig, pattern, f_obs, _ = _make_instance(
                         n, params["r"], kappa, m, params["alpha"],
-                        params["magnitude_scale"], WITHOUT_REPLACEMENT, cell_seed,
+                        params["magnitude_scale"], cell_seed,
                     )
                     config = _solver_config(params, params["r"], params["alpha"], cell_seed)
                     traces.append(runner(f_obs, pattern, sig.shape, config, ground_truth=sig.z))
@@ -463,13 +470,12 @@ def _phase_trial(params, seed, x_axis, y_axis, x, y, trial):
     trial_seed = derive_seed(seed, "phase", x_axis, x, y_axis, y, trial)
     try:
         sig, pattern, f_obs, _ = _make_instance(
-            n, rank, params["kappa"], m, alpha,
-            params["magnitude_scale"], WITHOUT_REPLACEMENT, trial_seed,
+            n, rank, params["kappa"], m, alpha, params["magnitude_scale"], trial_seed
         )
         config = _solver_config(params, rank, alpha, trial_seed)
         report = run_hsnld(f_obs, pattern, sig.shape, config, ground_truth=sig.z)
         return _trial_success(report)
-    except (SolverError, ValueError, RuntimeError):
+    except (ValueError, RuntimeError):
         return False
 
 
@@ -494,9 +500,9 @@ def cmd_doa(params: dict, seed: int, out: Path) -> int:
     rank = params["r"] or len(thetas)
     sig = doa_signal(n, thetas)
     m = math.ceil(params["p"] * n)
-    pattern = sample_pattern(n, m, WITHOUT_REPLACEMENT, seed=derive_seed(seed, "pattern"))
-    spec = OutlierSpec(params["alpha"], params["magnitude_scale"], seed=derive_seed(seed, "outliers"))
-    f_obs, _ = inject_outliers(sig, pattern, spec)
+    pattern, f_obs, _ = _observe(
+        sig, m, WITHOUT_REPLACEMENT, params["alpha"], params["magnitude_scale"], seed
+    )
     config = _solver_config(params, rank, params["alpha"], seed)
     start = time.perf_counter()
     report = run_hsnld(f_obs, pattern, sig.shape, config, ground_truth=sig.z)
@@ -554,10 +560,10 @@ def main(argv: list[str] | None = None) -> int:
                 if tok == "--config":
                     config_file = value
                 elif tok == "--seed":
-                    seed = int(value)
+                    seed = _parse_int("seed", value)
                 elif tok == "--threads":
                     # accepted and checked; trials always run on one thread
-                    if int(value) < 1:
+                    if _parse_int("threads", value) < 1:
                         raise ConfigError("threads must be >= 1")
                 else:
                     out = Path(value)
@@ -575,13 +581,13 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"bad config file: {exc}") from exc
         raw.update(_parse_overrides(rest))
         if "seed" in raw:
-            seed = int(raw.pop("seed"))
+            seed = _parse_int("seed", raw.pop("seed"))
         params = _apply_schema(command, raw)
         return _COMMANDS[command](params, seed, out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, RuntimeError, ValueError, OSError) as exc:
+    except (RuntimeError, ValueError, OSError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 1
 

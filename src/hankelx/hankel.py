@@ -34,7 +34,6 @@ __all__ = [
     "hankel_adjoint_dense",
     "lowrank_to_signal",
     "hankel_matvec",
-    "hankel_rmatvec",
     "hankel_matmat",
     "hankel_rmatmat",
 ]
@@ -85,9 +84,6 @@ class WeightedSignal:
             raise ValueError(
                 f"signal length {self.z.size} does not match shape n={self.shape.n}"
             )
-
-    def copy(self) -> "WeightedSignal":
-        return WeightedSignal(self.shape, self.z.copy())
 
 
 def antidiagonal_counts(shape: HankelShape) -> np.ndarray:
@@ -185,14 +181,6 @@ def hankel_matvec(sig: WeightedSignal, v) -> np.ndarray:
     if v.shape != (sig.shape.n2,):
         raise ValueError(f"expected length {sig.shape.n2}, got {v.shape}")
     return hankel_matmat(sig, v[:, None])[:, 0]
-
-
-def hankel_rmatvec(sig: WeightedSignal, u) -> np.ndarray:
-    """Conjugate-transpose product with a length-n1 vector."""
-    u = np.asarray(u, dtype=np.complex128)
-    if u.shape != (sig.shape.n1,):
-        raise ValueError(f"expected length {sig.shape.n1}, got {u.shape}")
-    return hankel_rmatmat(sig, u[:, None])[:, 0]
 
 
 def _correlate(y: np.ndarray, W: np.ndarray, rows: int) -> np.ndarray:

@@ -3,10 +3,11 @@
 The solver tracks a rank-r factor pair (L, R) of the embedded Hankel matrix
 together with a sparse outlier estimate.  Each iteration: refresh the signal
 estimate from the factors, hard-threshold the observed residual to re-detect
-outliers, then take a gradient step on each factor right-multiplied by the
-inverse Gram matrix of the other factor (a Newton-like preconditioner that
-makes progress per iteration independent of the conditioning of the ground
-truth), and finally project rows back into the weak-incoherence ball.
+outliers (ranked by raw, unweighted magnitude, in initialization and in
+iteration alike), then take a gradient step on each factor right-multiplied
+by the inverse Gram matrix of the other factor (a Newton-like preconditioner
+that makes progress per iteration independent of the conditioning of the
+ground truth), and finally project rows back into the weak-incoherence ball.
 
 A plain scaled-gradient baseline (same gradients, no Gram preconditioning,
 step size divided by the top singular value from initialization) is provided
@@ -28,7 +29,7 @@ from .hankel import (
     hankel_matmat,
     hankel_rmatmat,
     lowrank_to_signal,
-    antidiagonal_counts,
+    _sqrt_counts,
 )
 from .linalg import DegenerateGramError, inverse, truncated_svd
 from .sampling import (
@@ -84,10 +85,6 @@ class Factors:
         self.R = np.asarray(self.R, dtype=np.complex128)
         if self.L.ndim != 2 or self.R.ndim != 2 or self.L.shape[1] != self.R.shape[1]:
             raise ValueError("factor shapes are inconsistent")
-
-    @property
-    def rank(self) -> int:
-        return self.L.shape[1]
 
 
 def default_gamma(k: int) -> float:
@@ -148,10 +145,6 @@ class RecoveryReport:
         return len(self.records) - 1
 
     @property
-    def final_residual(self) -> float:
-        return self.records[-1].residual
-
-    @property
     def final_error(self) -> float:
         return self.records[-1].error
 
@@ -196,10 +189,28 @@ class InitResult:
 
 
 def _check_supported(f_obs: np.ndarray, pattern: ObservationPattern):
+    # an overflowing norm would make every relative residual read 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(f_obs)
+    if not np.isfinite(norm):
+        raise ValueError("observed vector has non-finite entries or an overflowing norm")
     mask = np.zeros(pattern.n, dtype=bool)
     mask[pattern.observed_set()] = True
     if np.any(f_obs[~mask] != 0):
         raise ValueError("observed vector has nonzeros off the sampling pattern")
+
+
+def _sparsify(residual: np.ndarray, k: int, shape: HankelShape) -> SparseEstimate:
+    """Outlier estimate: the k entries of a weighted residual largest in raw magnitude.
+
+    The one thresholding rule of the package, used by :func:`spectral_init`
+    and by every iteration.  Entries are ranked after unweighting, the domain
+    in which the sparsification sup-norm bound holds, and returned reweighted.
+    """
+    w = _sqrt_counts(shape)
+    kept = top_k_threshold(residual / w, k)
+    kept.s *= w
+    return kept
 
 
 def spectral_init(
@@ -213,10 +224,10 @@ def spectral_init(
 ) -> InitResult:
     """One-shot initialization: clean, rescale, truncate, project.
 
-    The largest ceil(alpha*m) observed entries (by raw magnitude, i.e. after
-    unweighting) are treated as outliers and removed, the remainder is scaled
-    by 1/p to compensate for sampling, and the top-rank SVD of the resulting
-    implicit Hankel matrix seeds the factors.  When ``bound`` is "auto" the
+    The largest ceil(alpha*m) observed entries (by raw magnitude, see
+    :func:`_sparsify`) are treated as outliers and removed, the remainder is
+    scaled by 1/p to compensate for sampling, and the top-rank SVD of the
+    resulting implicit Hankel matrix seeds the factors.  When ``bound`` is "auto" the
     incoherence radius is estimated from the leading singular vectors' row
     norms and the top singular value.
     """
@@ -228,9 +239,7 @@ def spectral_init(
         raise ValueError(f"rank {rank} not in [1, {min(n1, n2)}]")
     _check_supported(f_obs, pattern)
 
-    sqrt_counts = np.sqrt(antidiagonal_counts(shape).astype(np.float64))
-    kept = top_k_threshold(f_obs / sqrt_counts, math.ceil(alpha * pattern.m))
-    s0 = SparseEstimate(kept.s * sqrt_counts, kept.support)
+    s0 = _sparsify(f_obs, math.ceil(alpha * pattern.m), shape)
 
     cleaned = WeightedSignal(shape, (f_obs - s0.s) / pattern.rate)
     tsvd = truncated_svd(
@@ -259,27 +268,27 @@ def spectral_init(
 
 @dataclass
 class IterateState:
-    """Factors plus the signal/outlier estimates derived from them."""
+    """Factors, the estimates derived from them, and the observed gap P(z + s) - f_obs."""
 
     factors: Factors
     z: WeightedSignal
     s: SparseEstimate
+    gap: np.ndarray
     iteration: int
-    bound: float | None = None
+    bound: float
 
 
-def _refresh(
-    factors: Factors, f_obs, pattern, shape, config, iteration, bound=None
-) -> IterateState:
+def _refresh(factors: Factors, f_obs, pattern, shape, config, iteration, bound) -> IterateState:
+    """Estimates for a factor pair; outliers are ranked by raw magnitude, as in init."""
     z = lowrank_to_signal(factors.L, factors.R, shape)
     k = keep_count(default_gamma(iteration), config.alpha, pattern.m, shape.n)
-    s = top_k_threshold(f_obs - project_obs(z.z, pattern), k)
-    return IterateState(factors=factors, z=z, s=s, iteration=iteration, bound=bound)
+    s = _sparsify(f_obs - project_obs(z.z, pattern), k, shape)
+    gap = project_obs(z.z + s.s, pattern) - f_obs
+    return IterateState(factors, z, s, gap, iteration, bound)
 
 
-def _descent_direction(state: IterateState, f_obs, pattern) -> WeightedSignal:
-    obs = project_obs(state.z.z + state.s.s, pattern) - f_obs
-    return WeightedSignal(state.z.shape, obs / pattern.rate - state.z.z)
+def _descent_direction(state: IterateState, pattern) -> WeightedSignal:
+    return WeightedSignal(state.z.shape, state.gap / pattern.rate - state.z.z)
 
 
 def hsnld_step(
@@ -292,27 +301,16 @@ def hsnld_step(
     """One preconditioned update of both factors (computed jointly, then projected)."""
     L, R = state.factors.L, state.factors.R
     eta = config.eta
-    direction = _descent_direction(state, f_obs, pattern)
+    direction = _descent_direction(state, pattern)
     try:
         inv_gram_r = inverse(R.conj().T @ R)
         inv_gram_l = inverse(L.conj().T @ L)
     except DegenerateGramError as exc:
         raise SolverError(str(exc), state.iteration) from exc
-    bound = _resolved_bound(config, state)
     new_l = (1.0 - eta) * L - eta * hankel_matmat(direction, R) @ inv_gram_r
     new_r = (1.0 - eta) * R - eta * hankel_rmatmat(direction, L) @ inv_gram_l
-    factors = project_incoherence(new_l, new_r, bound)
-    return _refresh(factors, f_obs, pattern, shape, config, state.iteration + 1, bound)
-
-
-def _resolved_bound(config, state) -> float:
-    # run_* stores the resolved numeric bound on the state; standalone calls
-    # with a numeric config bound also work.
-    if state.bound is not None:
-        return state.bound
-    if isinstance(config.incoherence_bound, str):
-        raise ValueError("incoherence bound not resolved; run spectral_init first")
-    return float(config.incoherence_bound)
+    factors = project_incoherence(new_l, new_r, state.bound)
+    return _refresh(factors, f_obs, pattern, shape, config, state.iteration + 1, state.bound)
 
 
 def recovery_error(z_est, z_true) -> float:
@@ -354,8 +352,7 @@ def _run(
     def residual_of(st: IterateState) -> float:
         if denom == 0:
             return 0.0
-        gap = project_obs(st.z.z + st.s.s, pattern) - f_obs
-        return float(np.linalg.norm(gap) / denom)
+        return float(np.linalg.norm(st.gap) / denom)
 
     def error_of(st: IterateState) -> float:
         if ground_truth is None:
@@ -404,12 +401,11 @@ def _plain_gd_step(state, f_obs, pattern, shape, config, sigma1) -> IterateState
     """Same gradients without the Gram preconditioners; step scaled by 1/sigma1."""
     L, R = state.factors.L, state.factors.R
     step = config.eta / sigma1
-    bound = _resolved_bound(config, state)
-    direction = _descent_direction(state, f_obs, pattern)
+    direction = _descent_direction(state, pattern)
     grad_l = hankel_matmat(direction, R) + L @ (R.conj().T @ R)
     grad_r = hankel_rmatmat(direction, L) + R @ (L.conj().T @ L)
-    factors = project_incoherence(L - step * grad_l, R - step * grad_r, bound)
-    return _refresh(factors, f_obs, pattern, shape, config, state.iteration + 1, bound)
+    factors = project_incoherence(L - step * grad_l, R - step * grad_r, state.bound)
+    return _refresh(factors, f_obs, pattern, shape, config, state.iteration + 1, state.bound)
 
 
 def run_hsnld(

@@ -80,10 +80,6 @@ class SparseEstimate:
         if np.any(self.s[off] != 0):
             raise ValueError("estimate is nonzero off its support")
 
-    @classmethod
-    def zeros(cls, n: int) -> "SparseEstimate":
-        return cls(np.zeros(n, dtype=np.complex128), np.empty(0, dtype=np.int64))
-
 
 def sample_pattern(n: int, m: int, mode: str, seed: int) -> ObservationPattern:
     """Draw m uniform indices from [0, n) under the given mode, seeded."""

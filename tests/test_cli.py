@@ -28,6 +28,14 @@ def test_gen_invalid_rank_exit_2(tmp_path, capsys):
     assert run_cli("gen", "--out", str(tmp_path), "kind=spectral", "n=64", "r=40") == 2
 
 
+def test_gen_non_integer_seed_exit_2(tmp_path, capsys):
+    args = ["gen", "--out", str(tmp_path), "kind=spectral", "n=64", "r=2"]
+    assert run_cli(*args, "--seed", "x") == 2
+    assert run_cli(*args, "seed=x") == 2
+    assert "seed must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "meta.json").exists()
+
+
 def test_gen_missing_config_file_exit_2(tmp_path, capsys):
     assert run_cli("gen", "--config", str(tmp_path / "nope.json")) == 2
 
@@ -141,6 +149,8 @@ def test_phase_thread_count_does_not_change_bytes(tmp_path):
     assert run_cli(*args, "--out", str(out2), "--threads", "3") == 0
     assert (out1 / "phase.csv").read_bytes() == (out2 / "phase.csv").read_bytes()
     assert run_cli(*args, "--out", str(tmp_path / "t0"), "--threads", "0") == 2
+    for bad in (["--threads", "abc"], ["--seed", "x"], ["seed=x"]):
+        assert run_cli(*args, "--out", str(tmp_path / "tx"), *bad) == 2
 
 
 def test_doa_full_observation_variant(tmp_path):

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from hankelx.hankel import HankelShape, WeightedSignal, hankel_dense
+from hankelx.hankel import (
+    HankelShape,
+    WeightedSignal,
+    antidiagonal_counts,
+    hankel_dense,
+    lowrank_to_signal,
+)
 from hankelx.recovery import (
     Factors,
     RecoveryConfig,
@@ -15,7 +21,13 @@ from hankelx.recovery import (
     spectral_init,
 )
 from hankelx.recovery import _refresh
-from hankelx.sampling import WITHOUT_REPLACEMENT, project_obs, sample_pattern
+from hankelx.sampling import (
+    WITHOUT_REPLACEMENT,
+    keep_count,
+    project_obs,
+    sample_pattern,
+    top_k_threshold,
+)
 from hankelx.signals import OutlierSpec, inject_outliers, spectral_signal
 
 from conftest import approx_dist, rand_complex, rel_err
@@ -278,14 +290,40 @@ def test_run_hsnld_with_replacement_diagnostic_mode():
     assert report.final_error <= 1e-3
 
 
-def test_hsnld_step_requires_resolved_bound(rng):
+def test_refresh_ranks_outliers_by_raw_magnitude():
+    # the iteration keeps the same entries spectral_init would: the top-k of
+    # the unweighted residual, not of the weighted one
+    n, r, alpha = 101, 3, 0.1
+    sig, pattern, f_obs, _ = make_instance(n, r, 10.0, 80, alpha, 161)
+    init = spectral_init(f_obs, pattern, sig.shape, r, alpha, seed=0)
+    config = RecoveryConfig(rank=r, alpha=alpha)
+    state = _refresh(init.factors, f_obs, pattern, sig.shape, config, 0,
+                     init.incoherence_bound)
+    z = lowrank_to_signal(init.factors.L, init.factors.R, sig.shape).z
+    residual = f_obs - project_obs(z, pattern)
+    k = keep_count(default_gamma(0), alpha, pattern.m, n)
+    sqrt_counts = np.sqrt(antidiagonal_counts(sig.shape).astype(float))
+    raw = top_k_threshold(residual / sqrt_counts, k).support
+    weighted = top_k_threshold(residual, k).support
+    assert not np.array_equal(raw, weighted)  # the instance tells the rules apart
+    np.testing.assert_array_equal(state.s.support, raw)
+    np.testing.assert_allclose(state.s.s[raw], residual[raw], rtol=1e-15)
+    np.testing.assert_array_equal(state.gap, project_obs(z + state.s.s, pattern) - f_obs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
+def test_nonfinite_observations_rejected(bad):
+    # 1e300 is finite, but the norm of the observations overflows
     n, r = 64, 2
-    sig, pattern, f_obs, _ = make_instance(n, r, 2.0, 50, 0.0, 161)
-    init = spectral_init(f_obs, pattern, sig.shape, r, 0.0, seed=0)
-    config = RecoveryConfig(rank=r, alpha=0.0)  # bound left as "auto"
-    state = _refresh(init.factors, f_obs, pattern, sig.shape, config, 0)
-    with pytest.raises(ValueError, match="not resolved"):
-        hsnld_step(state, f_obs, pattern, sig.shape, config)
+    sig, pattern, f_obs, _ = make_instance(n, r, 2.0, 50, 0.0, 171)
+    f_obs = f_obs.copy()
+    f_obs[pattern.indices[0]] = bad
+    config = RecoveryConfig(rank=r, alpha=0.0)
+    for solve in (run_hsnld, run_plain_gd):
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(f_obs, pattern, sig.shape, config, ground_truth=sig.z)
+    with pytest.raises(ValueError, match="non-finite"):
+        spectral_init(f_obs, pattern, sig.shape, r, 0.0)
 
 
 def test_run_hsnld_degenerate_gram_raises():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hankelx.hankel import HankelShape, antidiagonal_counts
+from hankelx.recovery import _sparsify
 from hankelx.sampling import (
     WITH_REPLACEMENT,
     WITHOUT_REPLACEMENT,
@@ -131,17 +132,11 @@ def test_sparse_estimate_guards():
     np.testing.assert_array_equal(est.support, [1])
 
 
-def _weighted_sparsified(f_obs, z, pattern, sqrt_counts, k):
-    """Outlier estimate computed in the raw-value domain, as the bound assumes."""
-    raw = project_obs(f_obs - z, pattern) / sqrt_counts
-    kept = top_k_threshold(raw, k)
-    return kept.s * sqrt_counts
-
-
 @pytest.mark.parametrize("trial", range(100))
 def test_sparsification_sup_bound(trial):
     # With at most alpha*m planted outliers and a keep budget of
-    # ceil(gamma*alpha*m), gamma >= 1, the raw-domain estimate s satisfies
+    # ceil(gamma*alpha*m), gamma >= 1, the solver's outlier estimate s (ranked
+    # by raw magnitude) satisfies, with W the unweighting,
     # sup |W P s_true - W s| <= 2 sup |W P (z_true - z)| deterministically.
     rng = np.random.default_rng(1000 + trial)
     n = 101
@@ -162,7 +157,7 @@ def test_sparsification_sup_bound(trial):
     f_obs = project_obs(z_true + s_true, pat)
 
     k = keep_count(gamma, alpha, m, n)
-    s = _weighted_sparsified(f_obs, z, pat, sqrt_counts, k)
+    s = _sparsify(f_obs - project_obs(z, pat), k, shape).s
     lhs = np.max(np.abs((project_obs(s_true, pat) - s) / sqrt_counts))
     rhs = 2.0 * np.max(np.abs(project_obs(z_true - z, pat) / sqrt_counts))
     assert lhs <= rhs + 1e-12 * rhs
