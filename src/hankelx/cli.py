@@ -154,7 +154,7 @@ def _apply_schema(command: str, raw: dict) -> dict:
             raise ConfigError(f"unknown key {key!r} for command {command!r}")
         caster = schema[key][0]
         try:
-            params[key] = caster(value)
+            params[key] = _parse_int(key, value) if caster is int else caster(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}") from exc
     for key, (_, default) in schema.items():
@@ -183,6 +183,8 @@ def _parse_overrides(tokens: list[str]) -> dict:
 
 
 def _parse_int(name: str, value) -> int:
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError) as exc:

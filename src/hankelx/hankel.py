@@ -12,7 +12,11 @@ pair back to a vector) runs through FFTs of one length, N = next_pow_two(n),
 and never materializes the n1 x n2 matrix.  Every product reads antidiagonal
 indices i + t <= n - 1 < N, so a circular transform of that length never
 wraps around.  Convention: numpy's unnormalized forward DFT, 1/N on the
-inverse.
+inverse and on the second (forward) transform of a product.
+
+Per solver iteration this costs 4r + 2 column transforms: 2r + 1 to map the
+factors to a vector, and 2r + 1 for the step's two products, which reuse the
+factor spectra of that map and transform only the descent direction.
 
 Indexing is 0-based everywhere in this module's public API.
 """
@@ -158,21 +162,26 @@ def _factor_pair(L, R, shape: HankelShape):
     return L, R
 
 
+def _lowrank_spectra(L, R, shape: HankelShape):
+    """:func:`lowrank_to_signal` plus the factor spectra fft(L), fft(conj R) at N."""
+    L, R = _factor_pair(L, R, shape)
+    size = _fft_length(shape.n)
+    fl = np.fft.fft(L, size, axis=0)
+    fr = np.fft.fft(R.conj(), size, axis=0)
+    z = np.fft.ifft((fl * fr).sum(axis=1))[: shape.n]
+    return WeightedSignal(shape, z / _sqrt_counts(shape)), fl, fr
+
+
 def lowrank_to_signal(L, R, shape: HankelShape) -> WeightedSignal:
     """Apply the embedding adjoint to the outer product L @ R^H.
 
     Each rank-one term contributes one linear convolution of a column of L
     with the conjugated column of R.  Its n1 + n2 - 1 = n outputs fit the
     transform length, so the cost is 2r + 1 FFTs of length next_pow_two(n)
-    instead of forming the n1 x n2 product.
+    instead of forming the n1 x n2 product.  The solver keeps the 2r factor
+    spectra, so the step's two products cost only 2r + 1 more FFTs.
     """
-    L, R = _factor_pair(L, R, shape)
-    n = shape.n
-    size = _fft_length(n)
-    fl = np.fft.fft(L, size, axis=0)
-    fr = np.fft.fft(R.conj(), size, axis=0)
-    z = np.fft.ifft((fl * fr).sum(axis=1))[:n]
-    return WeightedSignal(shape, z / _sqrt_counts(shape))
+    return _lowrank_spectra(L, R, shape)[0]
 
 
 def hankel_matvec(sig: WeightedSignal, v) -> np.ndarray:
@@ -183,41 +192,47 @@ def hankel_matvec(sig: WeightedSignal, v) -> np.ndarray:
     return hankel_matmat(sig, v[:, None])[:, 0]
 
 
-def _correlate(y: np.ndarray, W: np.ndarray, rows: int) -> np.ndarray:
-    """Rows i < ``rows`` of sum_t y_{i+t} W_{t,j} for each column j.
+def _correlate(spec: np.ndarray, fy: np.ndarray, rows: int) -> np.ndarray:
+    """Rows m < ``rows`` of sum_t conj(y_{m+t}) W_{t,j}, from spec = fft(W), fy = fft(y).
 
-    One circular correlation per column at length next_pow_two(n), n = len(y).
-    Callers guarantee i + t <= n - 1, so nothing wraps.  The spectrum of the
-    block is taken unscaled with the inverse transform, which equals
-    conj(fft(conj(W))) and saves conjugating the block.
+    The one product kernel, one FFT per column.  Spectra are at length
+    N = next_pow_two(len(y)) and callers guarantee m + t <= len(y) - 1, so
+    nothing wraps.  The correlation is ifft(spec * conj(fy)) read at index -m,
+    which equals the forward transform scaled by 1/N read at m.
     """
-    size = _fft_length(y.size)
-    spec = np.fft.ifft(W, size, axis=0, norm="forward")
-    spec *= np.fft.fft(y, size)[:, None]
-    return np.fft.ifft(spec, axis=0)[:rows]
+    return np.fft.fft(spec * fy.conj()[:, None], axis=0, norm="forward")[:rows]
+
+
+def _factor_products(sig: WeightedSignal, fl: np.ndarray, fr: np.ndarray):
+    """``hankel_matmat(sig, R)`` and ``hankel_rmatmat(sig, L)`` from the spectra
+    fl, fr of :func:`_lowrank_spectra`: 2r + 1 FFTs for both products."""
+    fx = np.fft.fft(unweight(sig), fl.shape[0])
+    return _correlate(fr, fx, sig.shape.n1).conj(), _correlate(fl, fx, sig.shape.n2)
 
 
 def hankel_matmat(sig: WeightedSignal, V) -> np.ndarray:
     """Hankel times an n2 x k block: column j is sum_t x_{i+t} V_{t,j}.
 
-    A correlation of the raw values with each column, so the cost is 2k + 1
-    FFTs of length next_pow_two(n).
+    The correlation of :func:`_correlate` run on the conjugated raw values,
+    so the cost is 2k + 1 FFTs of length next_pow_two(n).
     """
     V = np.asarray(V, dtype=np.complex128)
     n1, n2 = sig.shape.n1, sig.shape.n2
     if V.ndim != 2 or V.shape[0] != n2:
         raise ValueError(f"expected n2={n2} rows, got {V.shape}")
-    return _correlate(unweight(sig), V, n1)
+    size = _fft_length(sig.shape.n)
+    return _correlate(np.fft.fft(V, size, axis=0), np.fft.fft(unweight(sig).conj(), size), n1)
 
 
 def hankel_rmatmat(sig: WeightedSignal, U) -> np.ndarray:
     """Conjugate-transposed Hankel times an n1 x k block.
 
-    Row t is sum_i conj(x_{i+t}) U_{i,j}: the same correlation as
-    :func:`hankel_matmat`, run on the conjugated raw values.
+    Row t is sum_i conj(x_{i+t}) U_{i,j}: the correlation of
+    :func:`_correlate` run on the raw values, 2k + 1 FFTs.
     """
     U = np.asarray(U, dtype=np.complex128)
     n1, n2 = sig.shape.n1, sig.shape.n2
     if U.ndim != 2 or U.shape[0] != n1:
         raise ValueError(f"expected n1={n1} rows, got {U.shape}")
-    return _correlate(unweight(sig).conj(), U, n2)
+    size = _fft_length(sig.shape.n)
+    return _correlate(np.fft.fft(U, size, axis=0), np.fft.fft(unweight(sig), size), n2)

@@ -101,7 +101,7 @@ def truncated_svd(
     n2: int,
     rank: int,
     oversample: int | None = None,
-    power_iters: int = 3,
+    power_iters: int = 1,
     seed: int = 0,
 ) -> TruncatedSVD:
     """Randomized rank-r SVD of an implicit n1 x n2 operator.
@@ -112,6 +112,11 @@ def truncated_svd(
     the width fits in min(n1, n2)), re-orthonormalizes with a thin QR after
     every half-step, and finishes with an eigendecomposition of the small
     projected Gram matrix.  Fully determined by ``seed``.
+
+    One power pass by default: when the spectrum has a gap at ``rank``, as a
+    rank-r signal plus sampling noise does, one pass finds the leading subspace
+    (Halko, Martinsson and Tropp, SIAM Review 2011); more passes cost two
+    block products each and save the solver no iterations.
     """
     if not 1 <= rank <= min(n1, n2):
         raise ValueError(f"rank {rank} not in [1, {min(n1, n2)}]")

@@ -28,7 +28,8 @@ from .hankel import (
     WeightedSignal,
     hankel_matmat,
     hankel_rmatmat,
-    lowrank_to_signal,
+    _factor_products,
+    _lowrank_spectra,
     _sqrt_counts,
 )
 from .linalg import DegenerateGramError, inverse, truncated_svd
@@ -276,15 +277,16 @@ class IterateState:
     gap: np.ndarray
     iteration: int
     bound: float
+    spectra: tuple[np.ndarray, np.ndarray]  # fft(L), fft(conj R), reused by the step
 
 
 def _refresh(factors: Factors, f_obs, pattern, shape, config, iteration, bound) -> IterateState:
     """Estimates for a factor pair; outliers are ranked by raw magnitude, as in init."""
-    z = lowrank_to_signal(factors.L, factors.R, shape)
+    z, fl, fr = _lowrank_spectra(factors.L, factors.R, shape)
     k = keep_count(default_gamma(iteration), config.alpha, pattern.m, shape.n)
     s = _sparsify(f_obs - project_obs(z.z, pattern), k, shape)
     gap = project_obs(z.z + s.s, pattern) - f_obs
-    return IterateState(factors, z, s, gap, iteration, bound)
+    return IterateState(factors, z, s, gap, iteration, bound, (fl, fr))
 
 
 def _descent_direction(state: IterateState, pattern) -> WeightedSignal:
@@ -301,14 +303,14 @@ def hsnld_step(
     """One preconditioned update of both factors (computed jointly, then projected)."""
     L, R = state.factors.L, state.factors.R
     eta = config.eta
-    direction = _descent_direction(state, pattern)
+    grad_l, grad_r = _factor_products(_descent_direction(state, pattern), *state.spectra)
     try:
         inv_gram_r = inverse(R.conj().T @ R)
         inv_gram_l = inverse(L.conj().T @ L)
     except DegenerateGramError as exc:
         raise SolverError(str(exc), state.iteration) from exc
-    new_l = (1.0 - eta) * L - eta * hankel_matmat(direction, R) @ inv_gram_r
-    new_r = (1.0 - eta) * R - eta * hankel_rmatmat(direction, L) @ inv_gram_l
+    new_l = (1.0 - eta) * L - eta * grad_l @ inv_gram_r
+    new_r = (1.0 - eta) * R - eta * grad_r @ inv_gram_l
     factors = project_incoherence(new_l, new_r, state.bound)
     return _refresh(factors, f_obs, pattern, shape, config, state.iteration + 1, state.bound)
 
@@ -401,9 +403,9 @@ def _plain_gd_step(state, f_obs, pattern, shape, config, sigma1) -> IterateState
     """Same gradients without the Gram preconditioners; step scaled by 1/sigma1."""
     L, R = state.factors.L, state.factors.R
     step = config.eta / sigma1
-    direction = _descent_direction(state, pattern)
-    grad_l = hankel_matmat(direction, R) + L @ (R.conj().T @ R)
-    grad_r = hankel_rmatmat(direction, L) + R @ (L.conj().T @ L)
+    grad_l, grad_r = _factor_products(_descent_direction(state, pattern), *state.spectra)
+    grad_l += L @ (R.conj().T @ R)
+    grad_r += R @ (L.conj().T @ L)
     factors = project_incoherence(L - step * grad_l, R - step * grad_r, state.bound)
     return _refresh(factors, f_obs, pattern, shape, config, state.iteration + 1, state.bound)
 

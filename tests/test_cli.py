@@ -183,6 +183,24 @@ def test_config_file_with_override(tmp_path):
     assert load_signal(out2 / "signal.hnkz").shape.n == 128
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n", 64.9), ("r", 2.5), ("r", True), ("seed", 7.5), ("seed", False), ("n", float("inf")),
+])
+def test_config_file_non_integer_exit_2(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "spectral", "n": 64, "r": 2, key: value}))
+    assert run_cli("gen", "--config", str(cfg), "--out", str(tmp_path)) == 2
+    assert f"{key} must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "meta.json").exists()
+
+
+def test_config_file_integral_float_accepted(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "spectral", "n": 64.0, "r": 2, "seed": 11.0}))
+    assert run_cli("gen", "--config", str(cfg), "--out", str(tmp_path)) == 0
+    assert load_signal(tmp_path / "signal.hnkz").shape.n == 64
+
+
 def test_module_entry_point(tmp_path):
     # the child imports the same package the suite imports, installed or not
     src = str(Path(hankelx.__file__).parents[1])

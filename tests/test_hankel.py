@@ -15,6 +15,8 @@ from hankelx.hankel import (
     lowrank_to_signal,
     reweight,
     unweight,
+    _factor_products,
+    _lowrank_spectra,
 )
 
 from conftest import rand_complex, rel_err
@@ -223,6 +225,11 @@ def test_fast_dense_equivalence_across_sizes(rng):
                 lowrank_to_signal(L, R, shape).z,
                 hankel_adjoint_dense(L @ R.conj().T, shape).z,
             ) <= 1e-11, shape
+            # the step's products, from the spectra the refresh keeps
+            _, fl, fr = _lowrank_spectra(L, R, shape)
+            matmat, rmatmat = _factor_products(sig, fl, fr)
+            assert rel_err(matmat, dense @ R) <= 1e-11, shape
+            assert rel_err(rmatmat, dense.conj().T @ L) <= 1e-11, shape
 
 
 def test_dimension_mismatches(rng):

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from hankelx import recovery
 from hankelx.hankel import (
     HankelShape,
     WeightedSignal,
     antidiagonal_counts,
     hankel_dense,
+    hankel_matmat,
+    hankel_rmatmat,
     lowrank_to_signal,
 )
 from hankelx.recovery import (
@@ -20,7 +23,7 @@ from hankelx.recovery import (
     run_plain_gd,
     spectral_init,
 )
-from hankelx.recovery import _refresh
+from hankelx.recovery import _plain_gd_step, _refresh
 from hankelx.sampling import (
     WITHOUT_REPLACEMENT,
     keep_count,
@@ -213,6 +216,84 @@ def test_hsnld_step_contracts_inside_basin():
             checked += 1
         prev = cur
     assert checked >= 10
+
+
+def _mid_solve_state(n, r, seed):
+    sig, pattern, f_obs, _ = make_instance(n, r, 20.0, n // 2, 0.1, seed)
+    config = RecoveryConfig(rank=r, alpha=0.1)
+    init = spectral_init(f_obs, pattern, sig.shape, r, 0.1, seed=config.seed)
+    state = _refresh(init.factors, f_obs, pattern, sig.shape, config, 0,
+                     init.incoherence_bound)
+    return sig.shape, pattern, f_obs, config, init.top_singular_value, state
+
+
+def _reference_step(state, f_obs, pattern, shape, config, sigma1=None):
+    """One step built from the public products; plain descent when sigma1 is given."""
+    L, R = state.factors.L, state.factors.R
+    direction = WeightedSignal(shape, state.gap / pattern.rate - state.z.z)
+    grad_l = hankel_matmat(direction, R)
+    grad_r = hankel_rmatmat(direction, L)
+    if sigma1 is None:
+        eta = config.eta
+        new_l = (1.0 - eta) * L - eta * grad_l @ np.linalg.inv(R.conj().T @ R)
+        new_r = (1.0 - eta) * R - eta * grad_r @ np.linalg.inv(L.conj().T @ L)
+    else:
+        step = config.eta / sigma1
+        new_l = L - step * (grad_l + L @ (R.conj().T @ R))
+        new_r = R - step * (grad_r + R @ (L.conj().T @ L))
+    factors = project_incoherence(new_l, new_r, state.bound)
+    return _refresh(factors, f_obs, pattern, shape, config, state.iteration + 1,
+                    state.bound)
+
+
+def test_steps_match_public_product_reference():
+    # both steps form their products from the refresh's factor spectra; the
+    # math must be the one the public hankel_matmat/hankel_rmatmat define
+    shape, pattern, f_obs, config, sigma1, state = _mid_solve_state(255, 5, 181)
+    plain = state
+    for _ in range(3):
+        want = _reference_step(state, f_obs, pattern, shape, config)
+        state = hsnld_step(state, f_obs, pattern, shape, config)
+        want_plain = _reference_step(plain, f_obs, pattern, shape, config, sigma1)
+        plain = _plain_gd_step(plain, f_obs, pattern, shape, config, sigma1)
+        for got, ref in ((state, want), (plain, want_plain)):
+            assert rel_err(got.factors.L, ref.factors.L) <= 1e-12
+            assert rel_err(got.factors.R, ref.factors.R) <= 1e-12
+            assert rel_err(got.z.z, ref.z.z) <= 1e-12
+            assert rel_err(got.gap, ref.gap) <= 1e-12
+
+
+def test_transform_budget(monkeypatch):
+    # each step makes 4r + 2 column transforms: 2r + 1 to map the factors
+    # back to a signal, 2r + 1 for both products from the kept spectra
+    n, r = 255, 5
+    shape, pattern, f_obs, config, sigma1, state = _mid_solve_state(n, r, 191)
+    columns = []
+
+    def counting(transform):
+        def wrapped(a, *args, axis=-1, **kwargs):
+            a = np.asarray(a)
+            columns.append(a.size // a.shape[axis])
+            return transform(a, *args, axis=axis, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.fft, "fft", counting(np.fft.fft))
+    monkeypatch.setattr(np.fft, "ifft", counting(np.fft.ifft))
+    hsnld_step(state, f_obs, pattern, shape, config)
+    assert sum(columns) == 4 * r + 2
+    columns.clear()
+    _plain_gd_step(state, f_obs, pattern, shape, config, sigma1)
+    assert sum(columns) == 4 * r + 2
+
+    # spectral_init runs one power pass: range, one pass there and back, projection
+    products = []
+    for name in ("hankel_matmat", "hankel_rmatmat"):
+        def product(sig, block, _name=name, _product=getattr(recovery, name)):
+            products.append(_name)
+            return _product(sig, block)
+        monkeypatch.setattr(recovery, name, product)
+    spectral_init(f_obs, pattern, shape, r, config.alpha)
+    assert products == ["hankel_matmat", "hankel_rmatmat"] * 2
 
 
 def test_run_hsnld_clean_full_observation_fast():
