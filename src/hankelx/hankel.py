@@ -12,11 +12,12 @@ pair back to a vector) runs through FFTs of one length, N = next_pow_two(n),
 and never materializes the n1 x n2 matrix.  Every product reads antidiagonal
 indices i + t <= n - 1 < N, so a circular transform of that length never
 wraps around.  Convention: numpy's unnormalized forward DFT, 1/N on the
-inverse and on the second (forward) transform of a product.
+inverse and on the second (forward) transform of a product.  Blocks are
+transformed as C-contiguous (k, N) rows along the last axis, one call each.
 
-Per solver iteration this costs 4r + 2 column transforms: 2r + 1 to map the
-factors to a vector, and 2r + 1 for the step's two products, which reuse the
-factor spectra of that map and transform only the descent direction.
+Per solver iteration this costs 4 transform calls over 4r + 2 rows: 2r + 1 to
+map the factors to a vector, and 2r + 1 for the step's two products, which
+reuse the factor spectra of that map and transform only the descent direction.
 
 Indexing is 0-based everywhere in this module's public API.
 """
@@ -149,7 +150,8 @@ def hankel_adjoint_dense(M, shape: HankelShape) -> WeightedSignal:
     return WeightedSignal(shape, z / _sqrt_counts(shape))
 
 
-def _factor_pair(L, R, shape: HankelShape):
+def _lowrank_spectra(L, R, shape: HankelShape):
+    """:func:`lowrank_to_signal` plus the (2r, N) spectrum of the rows of L^T over R^H."""
     L = np.asarray(L, dtype=np.complex128)
     R = np.asarray(R, dtype=np.complex128)
     if L.ndim != 2 or R.ndim != 2 or L.shape[1] != R.shape[1]:
@@ -159,17 +161,13 @@ def _factor_pair(L, R, shape: HankelShape):
             f"factor rows ({L.shape[0]}, {R.shape[0]}) do not match shape "
             f"({shape.n1}, {shape.n2})"
         )
-    return L, R
-
-
-def _lowrank_spectra(L, R, shape: HankelShape):
-    """:func:`lowrank_to_signal` plus the factor spectra fft(L), fft(conj R) at N."""
-    L, R = _factor_pair(L, R, shape)
-    size = _fft_length(shape.n)
-    fl = np.fft.fft(L, size, axis=0)
-    fr = np.fft.fft(R.conj(), size, axis=0)
-    z = np.fft.ifft((fl * fr).sum(axis=1))[: shape.n]
-    return WeightedSignal(shape, z / _sqrt_counts(shape)), fl, fr
+    r = L.shape[1]
+    spec = np.zeros((2 * r, _fft_length(shape.n)), dtype=np.complex128)
+    spec[:r, : shape.n1] = L.T
+    spec[r:, : shape.n2] = R.conj().T
+    np.fft.fft(spec, out=spec)
+    z = np.fft.ifft((spec[:r] * spec[r:]).sum(axis=0))[: shape.n]
+    return WeightedSignal(shape, z / _sqrt_counts(shape)), spec
 
 
 def lowrank_to_signal(L, R, shape: HankelShape) -> WeightedSignal:
@@ -177,9 +175,8 @@ def lowrank_to_signal(L, R, shape: HankelShape) -> WeightedSignal:
 
     Each rank-one term contributes one linear convolution of a column of L
     with the conjugated column of R.  Its n1 + n2 - 1 = n outputs fit the
-    transform length, so the cost is 2r + 1 FFTs of length next_pow_two(n)
-    instead of forming the n1 x n2 product.  The solver keeps the 2r factor
-    spectra, so the step's two products cost only 2r + 1 more FFTs.
+    transform length, so one FFT over the 2r factor rows and one inverse, of
+    length next_pow_two(n), replace forming the n1 x n2 product.
     """
     return _lowrank_spectra(L, R, shape)[0]
 
@@ -192,47 +189,51 @@ def hankel_matvec(sig: WeightedSignal, v) -> np.ndarray:
     return hankel_matmat(sig, v[:, None])[:, 0]
 
 
-def _correlate(spec: np.ndarray, fy: np.ndarray, rows: int) -> np.ndarray:
-    """Rows m < ``rows`` of sum_t conj(y_{m+t}) W_{t,j}, from spec = fft(W), fy = fft(y).
+def _correlate(spec: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row j, entry m: sum_t conj(y_{m+t}) W_{t,j}, from the (k, N) block spec = fft(W^T).
 
-    The one product kernel, one FFT per column.  Spectra are at length
-    N = next_pow_two(len(y)) and callers guarantee m + t <= len(y) - 1, so
-    nothing wraps.  The correlation is ifft(spec * conj(fy)) read at index -m,
-    which equals the forward transform scaled by 1/N read at m.
+    The one product kernel: an FFT of y, then one forward FFT over the rows, in
+    place (writing a fresh block costs about as much as the transform).  Callers
+    keep entries with m + t <= len(y) - 1 < N for every t, so nothing wraps.  The correlation is ifft(spec * conj(fft(y)))
+    read at index -m, which equals the forward transform scaled by 1/N read at m.
     """
-    return np.fft.fft(spec * fy.conj()[:, None], axis=0, norm="forward")[:rows]
+    prod = spec * np.fft.fft(y, spec.shape[1]).conj()
+    return np.fft.fft(prod, norm="forward", out=prod)
 
 
-def _factor_products(sig: WeightedSignal, fl: np.ndarray, fr: np.ndarray):
-    """``hankel_matmat(sig, R)`` and ``hankel_rmatmat(sig, L)`` from the spectra
-    fl, fr of :func:`_lowrank_spectra`: 2r + 1 FFTs for both products."""
-    fx = np.fft.fft(unweight(sig), fl.shape[0])
-    return _correlate(fr, fx, sig.shape.n1).conj(), _correlate(fl, fx, sig.shape.n2)
+def _factor_products(sig: WeightedSignal, spec: np.ndarray):
+    """``hankel_matmat(sig, R)`` and ``hankel_rmatmat(sig, L)`` from the spectrum
+    block of :func:`_lowrank_spectra`: 2 FFT calls over 2r + 1 rows for both."""
+    r = spec.shape[0] // 2
+    out = _correlate(spec, unweight(sig))
+    return out[r:, : sig.shape.n1].conj().T, out[:r, : sig.shape.n2].T
 
 
 def hankel_matmat(sig: WeightedSignal, V) -> np.ndarray:
     """Hankel times an n2 x k block: column j is sum_t x_{i+t} V_{t,j}.
 
     The correlation of :func:`_correlate` run on the conjugated raw values,
-    so the cost is 2k + 1 FFTs of length next_pow_two(n).
+    so the cost is 2k + 1 FFTs of length next_pow_two(n), in 3 calls.
     """
     V = np.asarray(V, dtype=np.complex128)
     n1, n2 = sig.shape.n1, sig.shape.n2
     if V.ndim != 2 or V.shape[0] != n2:
         raise ValueError(f"expected n2={n2} rows, got {V.shape}")
-    size = _fft_length(sig.shape.n)
-    return _correlate(np.fft.fft(V, size, axis=0), np.fft.fft(unweight(sig).conj(), size), n1)
+    spec = np.zeros((V.shape[1], _fft_length(sig.shape.n)), dtype=np.complex128)
+    spec[:, :n2] = V.T
+    return _correlate(np.fft.fft(spec, out=spec), unweight(sig).conj())[:, :n1].T
 
 
 def hankel_rmatmat(sig: WeightedSignal, U) -> np.ndarray:
     """Conjugate-transposed Hankel times an n1 x k block.
 
     Row t is sum_i conj(x_{i+t}) U_{i,j}: the correlation of
-    :func:`_correlate` run on the raw values, 2k + 1 FFTs.
+    :func:`_correlate` run on the raw values, 2k + 1 FFTs in 3 calls.
     """
     U = np.asarray(U, dtype=np.complex128)
     n1, n2 = sig.shape.n1, sig.shape.n2
     if U.ndim != 2 or U.shape[0] != n1:
         raise ValueError(f"expected n1={n1} rows, got {U.shape}")
-    size = _fft_length(sig.shape.n)
-    return _correlate(np.fft.fft(U, size, axis=0), np.fft.fft(unweight(sig), size), n2)
+    spec = np.zeros((U.shape[1], _fft_length(sig.shape.n)), dtype=np.complex128)
+    spec[:, :n1] = U.T
+    return _correlate(np.fft.fft(spec, out=spec), unweight(sig))[:, :n2].T

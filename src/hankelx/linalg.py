@@ -41,8 +41,9 @@ def hermitian_eig(H) -> tuple[np.ndarray, np.ndarray]:
     part is symmetrized away before factorization.
     """
     H = _square(H, "H")
-    scale = np.linalg.norm(H)
-    skew = np.linalg.norm(H - H.conj().T)
+    with np.errstate(over="ignore"):  # a finite input's norm may overflow
+        scale = np.linalg.norm(H)
+        skew = np.linalg.norm(H - H.conj().T)
     if scale > 0 and skew > 1e-10 * scale:
         raise ValueError(f"matrix is not Hermitian (skew {skew:.3e} vs {scale:.3e})")
     Hs = 0.5 * (H + H.conj().T)
@@ -56,12 +57,12 @@ def hermitian_eig(H) -> tuple[np.ndarray, np.ndarray]:
 def inverse(H) -> np.ndarray:
     """Inverse of a small Hermitian matrix (a factor Gram), refusing rank collapse.
 
-    Non-Hermitian input raises ``ValueError`` through :func:`hermitian_eig`;
-    a zero or numerically singular input raises :class:`DegenerateGramError`.
+    Non-Hermitian input raises ``ValueError`` through :func:`hermitian_eig`; a
+    zero, non-finite or numerically singular one raises :class:`DegenerateGramError`.
     """
     H = _square(H, "H")
-    if not np.any(H):
-        raise DegenerateGramError("degenerate factor Gram matrix (zero input)")
+    if not (np.isfinite(H).all() and np.any(H)):
+        raise DegenerateGramError("degenerate factor Gram matrix (zero or non-finite input)")
     w, Q = hermitian_eig(H)
     wabs = np.abs(w)
     if wabs.min() < 1e-12 * wabs.max():

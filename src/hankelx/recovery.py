@@ -195,9 +195,7 @@ def _check_supported(f_obs: np.ndarray, pattern: ObservationPattern):
         norm = np.linalg.norm(f_obs)
     if not np.isfinite(norm):
         raise ValueError("observed vector has non-finite entries or an overflowing norm")
-    mask = np.zeros(pattern.n, dtype=bool)
-    mask[pattern.observed_set()] = True
-    if np.any(f_obs[~mask] != 0):
+    if np.any(f_obs[pattern.multiplicities() == 0] != 0):
         raise ValueError("observed vector has nonzeros off the sampling pattern")
 
 
@@ -277,16 +275,16 @@ class IterateState:
     gap: np.ndarray
     iteration: int
     bound: float
-    spectra: tuple[np.ndarray, np.ndarray]  # fft(L), fft(conj R), reused by the step
+    spectra: np.ndarray  # (2r, N) spectrum of the rows of L^T over R^H, reused by the step
 
 
 def _refresh(factors: Factors, f_obs, pattern, shape, config, iteration, bound) -> IterateState:
     """Estimates for a factor pair; outliers are ranked by raw magnitude, as in init."""
-    z, fl, fr = _lowrank_spectra(factors.L, factors.R, shape)
+    z, spectra = _lowrank_spectra(factors.L, factors.R, shape)
     k = keep_count(default_gamma(iteration), config.alpha, pattern.m, shape.n)
     s = _sparsify(f_obs - project_obs(z.z, pattern), k, shape)
     gap = project_obs(z.z + s.s, pattern) - f_obs
-    return IterateState(factors, z, s, gap, iteration, bound, (fl, fr))
+    return IterateState(factors, z, s, gap, iteration, bound, spectra)
 
 
 def _descent_direction(state: IterateState, pattern) -> WeightedSignal:
@@ -303,7 +301,7 @@ def hsnld_step(
     """One preconditioned update of both factors (computed jointly, then projected)."""
     L, R = state.factors.L, state.factors.R
     eta = config.eta
-    grad_l, grad_r = _factor_products(_descent_direction(state, pattern), *state.spectra)
+    grad_l, grad_r = _factor_products(_descent_direction(state, pattern), state.spectra)
     try:
         inv_gram_r = inverse(R.conj().T @ R)
         inv_gram_l = inverse(L.conj().T @ L)
@@ -403,7 +401,7 @@ def _plain_gd_step(state, f_obs, pattern, shape, config, sigma1) -> IterateState
     """Same gradients without the Gram preconditioners; step scaled by 1/sigma1."""
     L, R = state.factors.L, state.factors.R
     step = config.eta / sigma1
-    grad_l, grad_r = _factor_products(_descent_direction(state, pattern), *state.spectra)
+    grad_l, grad_r = _factor_products(_descent_direction(state, pattern), state.spectra)
     grad_l += L @ (R.conj().T @ R)
     grad_r += R @ (L.conj().T @ L)
     factors = project_incoherence(L - step * grad_l, R - step * grad_r, state.bound)

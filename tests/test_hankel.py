@@ -208,28 +208,29 @@ def test_matmat_basis_columns(rng):
 def test_fast_dense_equivalence_across_sizes(rng):
     # lengths on both sides of a power of two (n = 2^k leaves the transform no
     # slack) and the extreme row/column splits as well as the square one
-    r = 4
     for n in (1, 2, 7, 64, 101, 127, 128, 129, 255):
         splits = {HankelShape.square(n).n1, 1, 2, n - 1, n}
         for n1 in sorted(n1 for n1 in splits if 1 <= n1 <= n):
             shape = HankelShape(n1, n - n1 + 1)
             sig = WeightedSignal(shape, rand_complex(rng, n))
             dense = hankel_dense(sig)
-            V = rand_complex(rng, shape.n2, r)
-            U = rand_complex(rng, shape.n1, r)
-            assert rel_err(hankel_matmat(sig, V), dense @ V) <= 1e-11, shape
-            assert rel_err(hankel_rmatmat(sig, U), dense.conj().T @ U) <= 1e-11, shape
-            L = rand_complex(rng, shape.n1, r)
-            R = rand_complex(rng, shape.n2, r)
-            assert rel_err(
-                lowrank_to_signal(L, R, shape).z,
-                hankel_adjoint_dense(L @ R.conj().T, shape).z,
-            ) <= 1e-11, shape
-            # the step's products, from the spectra the refresh keeps
-            _, fl, fr = _lowrank_spectra(L, R, shape)
-            matmat, rmatmat = _factor_products(sig, fl, fr)
-            assert rel_err(matmat, dense @ R) <= 1e-11, shape
-            assert rel_err(rmatmat, dense.conj().T @ L) <= 1e-11, shape
+            for r in (1, 4):
+                V = rand_complex(rng, shape.n2, r)
+                U = rand_complex(rng, shape.n1, r)
+                assert rel_err(hankel_matmat(sig, V), dense @ V) <= 1e-11, (shape, r)
+                assert rel_err(hankel_rmatmat(sig, U), dense.conj().T @ U) <= 1e-11, (shape, r)
+                L = rand_complex(rng, shape.n1, r)
+                R = rand_complex(rng, shape.n2, r)
+                z, spec = _lowrank_spectra(L, R, shape)
+                assert rel_err(z.z, hankel_adjoint_dense(L @ R.conj().T, shape).z) <= 1e-11
+                np.testing.assert_array_equal(lowrank_to_signal(L, R, shape).z, z.z)
+                # the step's products, from the spectra the refresh keeps
+                matmat, rmatmat = _factor_products(sig, spec)
+                assert rel_err(matmat, dense @ R) <= 1e-11, (shape, r)
+                assert rel_err(rmatmat, dense.conj().T @ L) <= 1e-11, (shape, r)
+            # a zero-width block gives a zero-width product
+            assert hankel_matmat(sig, np.zeros((shape.n2, 0))).shape == (shape.n1, 0)
+            assert hankel_rmatmat(sig, np.zeros((shape.n1, 0))).shape == (shape.n2, 0)
 
 
 def test_dimension_mismatches(rng):

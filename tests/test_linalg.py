@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,18 @@ def test_inverse_degenerate():
     bad = np.array([[1.0, 2.0], [0.5, 1.0]])  # singular, non-Hermitian
     with pytest.raises(ValueError, match="not Hermitian"):
         inverse(bad)
+
+
+def test_inverse_nonfinite_and_overflowing_gram_quietly():
+    # a non-finite Gram is refused before any norm is taken, and a finite
+    # one whose Frobenius norm overflows is inverted without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.diag([np.inf, 1.0, 1.0]), np.diag([np.nan, 1.0, 1.0])):
+            with pytest.raises(DegenerateGramError, match="non-finite"):
+                inverse(bad)
+        H = 1e160 * np.diag([3.0, 2.0, 1.0])
+        np.testing.assert_allclose(inverse(H), np.diag([1 / 3, 1 / 2, 1.0]) * 1e-160)
 
 
 def test_residual_bounds_over_many_seeds():

@@ -264,15 +264,18 @@ def test_steps_match_public_product_reference():
 
 
 def test_transform_budget(monkeypatch):
-    # each step makes 4r + 2 column transforms: 2r + 1 to map the factors
-    # back to a signal, 2r + 1 for both products from the kept spectra
+    # each step makes 4 transform calls over 4r + 2 rows: the 2r factor rows
+    # and one inverse to map the factors back to a signal, then the direction
+    # and the 2r rows for both products from the kept spectra.  Every call
+    # runs along the last axis of a C-contiguous array.
     n, r = 255, 5
     shape, pattern, f_obs, config, sigma1, state = _mid_solve_state(n, r, 191)
     columns = []
 
     def counting(transform):
         def wrapped(a, *args, axis=-1, **kwargs):
-            a = np.asarray(a)
+            assert isinstance(a, np.ndarray) and a.flags.c_contiguous
+            assert axis in (-1, a.ndim - 1)
             columns.append(a.size // a.shape[axis])
             return transform(a, *args, axis=axis, **kwargs)
         return wrapped
@@ -280,10 +283,10 @@ def test_transform_budget(monkeypatch):
     monkeypatch.setattr(np.fft, "fft", counting(np.fft.fft))
     monkeypatch.setattr(np.fft, "ifft", counting(np.fft.ifft))
     hsnld_step(state, f_obs, pattern, shape, config)
-    assert sum(columns) == 4 * r + 2
+    assert len(columns) == 4 and sum(columns) == 4 * r + 2
     columns.clear()
     _plain_gd_step(state, f_obs, pattern, shape, config, sigma1)
-    assert sum(columns) == 4 * r + 2
+    assert len(columns) == 4 and sum(columns) == 4 * r + 2
 
     # spectral_init runs one power pass: range, one pass there and back, projection
     products = []
