@@ -151,7 +151,7 @@ def hankel_adjoint_dense(M, shape: HankelShape) -> WeightedSignal:
 
 
 def _lowrank_spectra(L, R, shape: HankelShape):
-    """:func:`lowrank_to_signal` plus the (2r, N) spectrum of the rows of L^T over R^H."""
+    """:func:`lowrank_to_signal` and the (2r, N) row spectrum of L^T over R^H."""
     L = np.asarray(L, dtype=np.complex128)
     R = np.asarray(R, dtype=np.complex128)
     if L.ndim != 2 or R.ndim != 2 or L.shape[1] != R.shape[1]:
@@ -162,10 +162,7 @@ def _lowrank_spectra(L, R, shape: HankelShape):
             f"({shape.n1}, {shape.n2})"
         )
     r = L.shape[1]
-    spec = np.zeros((2 * r, _fft_length(shape.n)), dtype=np.complex128)
-    spec[:r, : shape.n1] = L.T
-    spec[r:, : shape.n2] = R.conj().T
-    np.fft.fft(spec, out=spec)
+    spec = _row_spectrum((L, R.conj()), _fft_length(shape.n))
     z = np.fft.ifft((spec[:r] * spec[r:]).sum(axis=0))[: shape.n]
     return WeightedSignal(shape, z / _sqrt_counts(shape)), spec
 
@@ -189,13 +186,23 @@ def hankel_matvec(sig: WeightedSignal, v) -> np.ndarray:
     return hankel_matmat(sig, v[:, None])[:, 0]
 
 
-def _correlate(spec: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row j, entry m: sum_t conj(y_{m+t}) W_{t,j}, from the (k, N) block spec = fft(W^T).
+def _row_spectrum(blocks, size: int) -> np.ndarray:
+    """FFT of the blocks' columns, zero-padded to ``size``, as rows of one block."""
+    rows = np.zeros((sum(b.shape[1] for b in blocks), size), dtype=np.complex128)
+    k = 0
+    for b in blocks:
+        rows[k : k + b.shape[1], : b.shape[0]] = b.T
+        k += b.shape[1]
+    return np.fft.fft(rows, out=rows)
 
-    The one product kernel: an FFT of y, then one forward FFT over the rows, in
-    place (writing a fresh block costs about as much as the transform).  Callers
-    keep entries with m + t <= len(y) - 1 < N for every t, so nothing wraps.  The correlation is ifft(spec * conj(fft(y)))
-    read at index -m, which equals the forward transform scaled by 1/N read at m.
+
+def _correlate(spec: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row j, entry m: sum_t conj(y_{m+t}) W_{t,j}, from spec = fft of W's columns.
+
+    The one product kernel: spec is a (k, N) :func:`_row_spectrum` block, and
+    the 1/N-scaled forward FFT of spec * conj(fft(y)) read at m is its inverse
+    read at -m.  Callers keep m + t <= len(y) - 1 < N, so nothing wraps.  The
+    transform runs in place (NumPy >= 2.0); a fresh block cost 2-3x as much.
     """
     prod = spec * np.fft.fft(y, spec.shape[1]).conj()
     return np.fft.fft(prod, norm="forward", out=prod)
@@ -209,31 +216,22 @@ def _factor_products(sig: WeightedSignal, spec: np.ndarray):
     return out[r:, : sig.shape.n1].conj().T, out[:r, : sig.shape.n2].T
 
 
-def hankel_matmat(sig: WeightedSignal, V) -> np.ndarray:
-    """Hankel times an n2 x k block: column j is sum_t x_{i+t} V_{t,j}.
+def _block_product(y: np.ndarray, W, rows: int) -> np.ndarray:
+    """Entries m < ``rows`` of :func:`_correlate` for a block W of len(y) - rows + 1
+    rows, as columns: 2k + 1 FFTs of length next_pow_two(len(y)) in 3 calls."""
+    W = np.asarray(W, dtype=np.complex128)
+    if W.ndim != 2 or W.shape[0] != y.size - rows + 1:
+        raise ValueError(f"expected {y.size - rows + 1} rows, got {W.shape}")
+    return _correlate(_row_spectrum((W,), _fft_length(y.size)), y)[:, :rows].T
 
-    The correlation of :func:`_correlate` run on the conjugated raw values,
-    so the cost is 2k + 1 FFTs of length next_pow_two(n), in 3 calls.
-    """
-    V = np.asarray(V, dtype=np.complex128)
-    n1, n2 = sig.shape.n1, sig.shape.n2
-    if V.ndim != 2 or V.shape[0] != n2:
-        raise ValueError(f"expected n2={n2} rows, got {V.shape}")
-    spec = np.zeros((V.shape[1], _fft_length(sig.shape.n)), dtype=np.complex128)
-    spec[:, :n2] = V.T
-    return _correlate(np.fft.fft(spec, out=spec), unweight(sig).conj())[:, :n1].T
+
+def hankel_matmat(sig: WeightedSignal, V) -> np.ndarray:
+    """Hankel times an n2 x k block: column j is sum_t x_{i+t} V_{t,j}, the
+    correlation of :func:`_correlate` run on the conjugated raw values."""
+    return _block_product(unweight(sig).conj(), V, sig.shape.n1)
 
 
 def hankel_rmatmat(sig: WeightedSignal, U) -> np.ndarray:
-    """Conjugate-transposed Hankel times an n1 x k block.
-
-    Row t is sum_i conj(x_{i+t}) U_{i,j}: the correlation of
-    :func:`_correlate` run on the raw values, 2k + 1 FFTs in 3 calls.
-    """
-    U = np.asarray(U, dtype=np.complex128)
-    n1, n2 = sig.shape.n1, sig.shape.n2
-    if U.ndim != 2 or U.shape[0] != n1:
-        raise ValueError(f"expected n1={n1} rows, got {U.shape}")
-    spec = np.zeros((U.shape[1], _fft_length(sig.shape.n)), dtype=np.complex128)
-    spec[:, :n1] = U.T
-    return _correlate(np.fft.fft(spec, out=spec), unweight(sig))[:, :n2].T
+    """Conjugate-transposed Hankel times an n1 x k block: row t is
+    sum_i conj(x_{i+t}) U_{i,j}, :func:`_correlate` run on the raw values."""
+    return _block_product(unweight(sig), U, sig.shape.n2)

@@ -418,7 +418,8 @@ def run_hsnld(
     """Full solve: spectral initialization then preconditioned iterations.
 
     Stops at the relative observed residual tolerance, on a non-finite
-    residual, or at the iteration cap.
+    residual, or at the iteration cap; a singular or non-finite factor Gram
+    raises :class:`SolverError`.
     """
     return _run("hsnld", f_obs, pattern, shape, config, ground_truth)
 
@@ -430,5 +431,5 @@ def run_plain_gd(
     config: RecoveryConfig,
     ground_truth=None,
 ) -> RecoveryReport:
-    """Unpreconditioned baseline with the same stopping rules."""
+    """Unpreconditioned baseline with the same stopping rules; it inverts no Gram."""
     return _run("plaingd", f_obs, pattern, shape, config, ground_truth)
