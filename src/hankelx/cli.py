@@ -5,16 +5,19 @@ Usage::
     hankelx <gen|recover|converge|phase|doa> [--config FILE] [--seed U64]
             [--threads N] [--out DIR] [key=value overrides]
 
-Command parameters come from an optional JSON config file plus overrides
-given either as ``key=value`` tokens or ``--key value`` pairs; overrides win.
-Unknown keys are rejected.  Every output (CSV with LF endings and '.' decimal
+Every key, the global ``config``, ``seed``, ``threads`` and ``out`` included,
+may be given as ``key=value``, ``--key value`` or ``--key=value``.  Each
+parameter takes the first of: the command line, the JSON ``--config`` file,
+the command's default.  The file cannot set ``config``, ``threads`` or ``out``;
+unknown keys are rejected.  Every output (CSV with LF endings and '.' decimal
 separators, JSON with a stable key order) is a pure function of the seed and
 configuration: grid trials derive per-cell seeds by hashing and run in order
 on the calling thread.  ``--threads N`` is accepted for compatibility and
 checked (N >= 1); it does not change how or what a command computes.
 
-Exit codes: 0 command completed and wrote its report, 1 solver error,
-2 usage/configuration error.
+Exit codes: 0 command completed and wrote its report, 1 solver error, 2 usage
+or configuration error, including input the library rejects before any solve
+(no report is written then).
 """
 
 from __future__ import annotations
@@ -25,18 +28,14 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .hankel import HankelShape, WeightedSignal
 from .recovery import RecoveryConfig, RecoveryReport, run_hsnld, run_plain_gd
-from .sampling import (
-    WITHOUT_REPLACEMENT,
-    WITH_REPLACEMENT,
-    ObservationPattern,
-    sample_pattern,
-)
+from .sampling import WITHOUT_REPLACEMENT, ObservationPattern, sample_pattern
 from .signals import (
     OutlierSpec,
     doa_signal,
@@ -76,6 +75,13 @@ def _parse_bound(text):
     return float(text)
 
 
+def _parse_trials(value):
+    trials = _parse_int("trials", value)
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+    return trials
+
+
 _SCHEMAS = {
     "gen": {
         "kind": (str, None),
@@ -107,7 +113,7 @@ _SCHEMAS = {
         "solvers": (_parse_str_list, ["hsnld", "plaingd"]),
         "p": (float, 0.8),
         "alpha": (float, 0.05),
-        "trials": (int, 5),
+        "trials": (_parse_trials, 5),
         "eta": (float, 0.5),
         "max_iters": (int, 1000),
         "tol_residual": (float, 1e-5),
@@ -122,7 +128,7 @@ _SCHEMAS = {
         "m_values": (_parse_float_list, []),
         "alpha_values": (_parse_float_list, []),
         "r_values": (_parse_float_list, []),
-        "trials": (int, 20),
+        "trials": (_parse_trials, 20),
         "eta": (float, 0.5),
         "max_iters": (int, 1000),
         "tol_residual": (float, 1e-5),
@@ -163,6 +169,7 @@ def _apply_schema(command: str, raw: dict) -> dict:
 
 
 def _parse_overrides(tokens: list[str]) -> dict:
+    """The one argv reader: ``key=value``, ``--key=value`` and ``--key value`` tokens."""
     raw = {}
     i = 0
     while i < len(tokens):
@@ -225,33 +232,58 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _trace_rows(report: RecoveryReport):
-    for rec in report.records:
-        yield [
-            rec.iteration,
-            _fmt(rec.residual),
-            _fmt(rec.error),
-            _fmt(rec.seconds * 1000.0),
-        ]
+def _write_run(out: Path, report: RecoveryReport, seconds: float, config: dict, **head):
+    """``summary.json`` (``head``'s keys first) and ``trace.csv`` of one solve."""
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(
+        out / "summary.json",
+        {**head, "seconds": seconds, "termination": report.termination, "config": config},
+    )
+    _write_csv(
+        out / "trace.csv",
+        ["iter", "residual", "err", "ms"],
+        ([r.iteration, _fmt(r.residual), _fmt(r.error), _fmt(r.seconds * 1000.0)]
+         for r in report.records),
+    )
+
+
+@contextmanager
+def _rejected_input():
+    """Wraps a command's setup, before any solve: a library ValueError is bad input (exit 2)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _runner(solver: str):
+    """The solver named ``solver``; read per call, so a patched ``run_hsnld`` is the one run."""
+    if solver == "hsnld":
+        return run_hsnld
+    if solver == "plaingd":
+        return run_plain_gd
+    raise ConfigError(f"unknown solver {solver!r}; expected 'hsnld' or 'plaingd'")
 
 
 def _observe(sig, m, mode, alpha, magnitude_scale, seed):
     """Sampling pattern, corrupted observations and planted outliers of ``sig``."""
-    pattern = sample_pattern(sig.shape.n, m, mode, seed=derive_seed(seed, "pattern"))
-    spec = OutlierSpec(alpha, magnitude_scale, seed=derive_seed(seed, "outliers"))
-    f_obs, s_true = inject_outliers(sig, pattern, spec)
+    with _rejected_input():
+        pattern = sample_pattern(sig.shape.n, m, mode, seed=derive_seed(seed, "pattern"))
+        spec = OutlierSpec(alpha, magnitude_scale, seed=derive_seed(seed, "outliers"))
+        f_obs, s_true = inject_outliers(sig, pattern, spec)
     return pattern, f_obs, s_true
 
 
 def _make_instance(n, r, kappa, m, alpha, magnitude_scale, seed):
     """Deterministic synthetic instance (without-replacement sampling) from one seed."""
-    sig, _ = spectral_signal(n, r, kappa, seed=derive_seed(seed, "signal"))
+    with _rejected_input():
+        sig, _ = spectral_signal(n, r, kappa, seed=derive_seed(seed, "signal"))
     return (sig, *_observe(sig, m, WITHOUT_REPLACEMENT, alpha, magnitude_scale, seed))
 
 
 def _solver_config(params: dict, rank, alpha, seed, bound="auto") -> RecoveryConfig:
-    """Solver settings shared by every command; the solver seed derives from ``seed``."""
-    return RecoveryConfig(
+    """Checked solver settings shared by every command; the solver seed derives from ``seed``."""
+    config = RecoveryConfig(
         rank=rank,
         alpha=alpha,
         eta=params["eta"],
@@ -260,6 +292,9 @@ def _solver_config(params: dict, rank, alpha, seed, bound="auto") -> RecoveryCon
         tol_residual=params["tol_residual"],
         seed=derive_seed(seed, "solver"),
     )
+    with _rejected_input():
+        config.validate()
+    return config
 
 
 def _trial_success(report: RecoveryReport) -> bool:
@@ -283,22 +318,17 @@ def cmd_gen(params: dict, seed: int, out: Path) -> int:
     if n is None or n < 2:
         raise ConfigError("n must be an integer >= 2")
     shape = HankelShape.square(n)
-    if kind == "spectral":
-        r = params["r"]
-        if r < 1 or r > min(shape.n1, shape.n2):
-            raise ConfigError(f"r must lie in [1, {min(shape.n1, shape.n2)}]")
-        sig, model = spectral_signal(n, r, params["kappa"], seed=derive_seed(seed, "signal"))
-    else:
-        thetas = params["thetas"]
-        gains = params["gains"]
-        sig = doa_signal(n, thetas, gains)
-        r = len(thetas)
+    with _rejected_input():
+        if kind == "spectral":
+            r = params["r"]
+            sig, _ = spectral_signal(n, r, params["kappa"], seed=derive_seed(seed, "signal"))
+        else:
+            sig = doa_signal(n, params["thetas"], params["gains"])
+            r = len(params["thetas"])
 
     m = params["m"]
     if m <= 0:
         m = math.ceil(params["p"] * n) if params["p"] > 0 else n
-    if params["mode"] not in (WITHOUT_REPLACEMENT, WITH_REPLACEMENT):
-        raise ConfigError(f"unknown sampling mode {params['mode']!r}")
     alpha = params["alpha"]
     scale = params["magnitude_scale"]
     if scale < 0:
@@ -338,8 +368,10 @@ def _load_instance_dir(path: Path):
     observed = load_signal(path / "observed.hnkz")
     with open(path / "pattern.csv", newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        next(reader, None)
         indices = np.array([int(row[0]) for row in reader], dtype=np.int64)
+    if indices.size == 0:
+        raise ConfigError(f"{path / 'pattern.csv'} lists no indices")
     meta = {}
     if (path / "meta.json").is_file():
         meta = json.loads((path / "meta.json").read_text())
@@ -354,17 +386,16 @@ def _load_instance_dir(path: Path):
 def cmd_recover(params: dict, seed: int, out: Path) -> int:
     if not params["input"]:
         raise ConfigError("recover needs input=DIR pointing at generated files")
-    observed, pattern, truth, meta = _load_instance_dir(Path(params["input"]))
+    with _rejected_input():
+        observed, pattern, truth, meta = _load_instance_dir(Path(params["input"]))
     rank = params["r"] or meta.get("r") or 0
     if rank < 1:
         raise ConfigError("rank r must be given (or present in meta.json)")
     alpha = params["alpha"]
     if alpha < 0:
         alpha = float(meta.get("alpha", 0.0))
-    if params["solver"] not in ("hsnld", "plaingd"):
-        raise ConfigError("solver must be 'hsnld' or 'plaingd'")
+    runner = _runner(params["solver"])
     config = _solver_config(params, rank, alpha, seed, bound=params["bound"])
-    runner = run_hsnld if params["solver"] == "hsnld" else run_plain_gd
     start = time.perf_counter()
     report = runner(
         observed.z,
@@ -374,22 +405,15 @@ def cmd_recover(params: dict, seed: int, out: Path) -> int:
         ground_truth=None if truth is None else truth.z,
     )
     seconds = time.perf_counter() - start
-    out.mkdir(parents=True, exist_ok=True)
     success = _trial_success(report) if truth is not None else (
         report.termination == "residual_tol"
     )
-    _write_json(
-        out / "summary.json",
-        {
-            "success": bool(success),
-            "err": None if truth is None else report.final_error,
-            "iters": report.iterations,
-            "seconds": seconds,
-            "termination": report.termination,
-            "config": {**params, "rank": rank, "alpha": alpha, "seed": seed},
-        },
+    _write_run(
+        out, report, seconds, {**params, "rank": rank, "alpha": alpha, "seed": seed},
+        success=bool(success),
+        err=None if truth is None else report.final_error,
+        iters=report.iterations,
     )
-    _write_csv(out / "trace.csv", ["iter", "residual", "err", "ms"], _trace_rows(report))
     return 0
 
 
@@ -397,16 +421,12 @@ def cmd_converge(params: dict, seed: int, out: Path) -> int:
     kappas = params["kappas"]
     if not kappas:
         raise ConfigError("converge needs a nonempty kappas list")
-    solvers = params["solvers"]
-    for solver in solvers:
-        if solver not in ("hsnld", "plaingd"):
-            raise ConfigError(f"unknown solver {solver!r}")
+    runners = [(solver, _runner(solver)) for solver in params["solvers"]]
     n = params["n"]
     m = math.ceil(params["p"] * n)
     rows = []
     for kappa in kappas:
-        for solver in solvers:
-            runner = run_hsnld if solver == "hsnld" else run_plain_gd
+        for solver, runner in runners:
             traces = []
             status = "ok"
             try:
@@ -470,15 +490,15 @@ def _phase_trial(params, seed, x_axis, y_axis, x, y, trial):
     rank = int(round(cell["r"]))
     alpha = float(cell["alpha"])
     trial_seed = derive_seed(seed, "phase", x_axis, x, y_axis, y, trial)
+    sig, pattern, f_obs, _ = _make_instance(
+        n, rank, params["kappa"], m, alpha, params["magnitude_scale"], trial_seed
+    )
+    config = _solver_config(params, rank, alpha, trial_seed)
     try:
-        sig, pattern, f_obs, _ = _make_instance(
-            n, rank, params["kappa"], m, alpha, params["magnitude_scale"], trial_seed
-        )
-        config = _solver_config(params, rank, alpha, trial_seed)
         report = run_hsnld(f_obs, pattern, sig.shape, config, ground_truth=sig.z)
-        return _trial_success(report)
     except (ValueError, RuntimeError):
         return False
+    return _trial_success(report)
 
 
 def cmd_phase(params: dict, seed: int, out: Path) -> int:
@@ -500,7 +520,8 @@ def cmd_doa(params: dict, seed: int, out: Path) -> int:
     n = params["n"]
     thetas = params["thetas"]
     rank = params["r"] or len(thetas)
-    sig = doa_signal(n, thetas)
+    with _rejected_input():
+        sig = doa_signal(n, thetas)
     m = math.ceil(params["p"] * n)
     pattern, f_obs, _ = _observe(
         sig, m, WITHOUT_REPLACEMENT, params["alpha"], params["magnitude_scale"], seed
@@ -512,20 +533,13 @@ def cmd_doa(params: dict, seed: int, out: Path) -> int:
     errors = report.errors()
     hits = np.flatnonzero(errors <= params["error_tol"])
     reached = int(hits[0]) if hits.size else -1
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(
-        out / "summary.json",
-        {
-            "success": bool(reached >= 0),
-            "err": report.final_error,
-            "iters": reached,
-            "iters_run": report.iterations,
-            "seconds": seconds,
-            "termination": report.termination,
-            "config": {**params, "rank": rank, "m": m, "seed": seed},
-        },
+    _write_run(
+        out, report, seconds, {**params, "rank": rank, "m": m, "seed": seed},
+        success=bool(reached >= 0),
+        err=report.final_error,
+        iters=reached,
+        iters_run=report.iterations,
     )
-    _write_csv(out / "trace.csv", ["iter", "residual", "err", "ms"], _trace_rows(report))
     return 0
 
 
@@ -548,42 +562,25 @@ def main(argv: list[str] | None = None) -> int:
         print(f"unknown command {command!r}; expected one of {sorted(_COMMANDS)}", file=sys.stderr)
         return 2
     try:
-        seed = 0
-        out = Path(".")
-        config_file = None
-        rest = []
-        i = 0
-        while i < len(argv):
-            tok = argv[i]
-            if tok in ("--config", "--seed", "--threads", "--out"):
-                if i + 1 >= len(argv):
-                    raise ConfigError(f"flag {tok} is missing a value")
-                value = argv[i + 1]
-                if tok == "--config":
-                    config_file = value
-                elif tok == "--seed":
-                    seed = _parse_int("seed", value)
-                elif tok == "--threads":
-                    # accepted and checked; trials always run on one thread
-                    if _parse_int("threads", value) < 1:
-                        raise ConfigError("threads must be >= 1")
-                else:
-                    out = Path(value)
-                i += 2
-            else:
-                rest.append(tok)
-                i += 1
+        given = _parse_overrides(argv)
+        config_file = given.pop("config", None)
+        out = Path(given.pop("out", "."))
+        # accepted and checked; trials always run on one thread
+        threads = _parse_int("threads", given.pop("threads", 1))
+        if threads < 1:
+            raise ConfigError(f"threads must be >= 1, got {threads}")
         raw = {}
         if config_file:
             try:
-                raw.update(json.loads(Path(config_file).read_text()))
+                raw = json.loads(Path(config_file).read_text())
             except FileNotFoundError as exc:
                 raise ConfigError(f"config file not found: {exc}") from exc
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"bad config file: {exc}") from exc
-        raw.update(_parse_overrides(rest))
-        if "seed" in raw:
-            seed = _parse_int("seed", raw.pop("seed"))
+            if not isinstance(raw, dict):
+                raise ConfigError(f"config file {config_file} must hold a JSON object")
+        raw.update(given)
+        seed = _parse_int("seed", raw.pop("seed", 0))
         params = _apply_schema(command, raw)
         return _COMMANDS[command](params, seed, out)
     except ConfigError as exc:

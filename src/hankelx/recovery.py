@@ -107,18 +107,19 @@ class RecoveryConfig:
 
     def validate(self):
         if self.rank < 1:
-            raise ValueError("rank must be >= 1")
+            raise ValueError(f"rank must be >= 1, got {self.rank}")
         if not 0.0 <= self.alpha < 1.0 + 1e-12:
-            raise ValueError("alpha must lie in [0, 1]")
+            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not 0.0 <= self.eta <= 1.0:
-            raise ValueError("eta must lie in [0, 1]")
-        if isinstance(self.incoherence_bound, str):
-            if self.incoherence_bound != "auto":
-                raise ValueError("incoherence_bound must be 'auto' or a positive number")
-        elif self.incoherence_bound <= 0:
-            raise ValueError("incoherence_bound must be positive")
+            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
+        bound = self.incoherence_bound
+        if isinstance(bound, str):
+            if bound != "auto":
+                raise ValueError(f"incoherence_bound must be 'auto' or a number, got {bound!r}")
+        elif bound <= 0:
+            raise ValueError(f"incoherence_bound must be positive, got {bound}")
         if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
 
 
 @dataclass
@@ -360,32 +361,23 @@ def _run(
         return recovery_error(st.z.z, ground_truth)
 
     termination = "max_iters"
-    res = residual_of(state)
-    records.append(
-        IterationRecord(0, res, error_of(state), time.perf_counter() - start)
-    )
-    if res <= config.tol_residual:
-        termination = "residual_tol"
-    elif not np.isfinite(res):
-        termination = "diverged"
-    else:
-        for _ in range(config.max_iters):
-            if update == "hsnld":
-                state = hsnld_step(state, f_obs, pattern, shape, config)
-            else:
-                state = _plain_gd_step(state, f_obs, pattern, shape, config, sigma1)
-            res = residual_of(state)
-            records.append(
-                IterationRecord(
-                    state.iteration, res, error_of(state), time.perf_counter() - start
-                )
-            )
-            if res <= config.tol_residual:
-                termination = "residual_tol"
-                break
-            if not np.isfinite(res):
-                termination = "diverged"
-                break
+    while True:
+        res = residual_of(state)
+        records.append(
+            IterationRecord(state.iteration, res, error_of(state), time.perf_counter() - start)
+        )
+        if res <= config.tol_residual:
+            termination = "residual_tol"
+            break
+        if not np.isfinite(res):
+            termination = "diverged"
+            break
+        if state.iteration == config.max_iters:
+            break
+        if update == "hsnld":
+            state = hsnld_step(state, f_obs, pattern, shape, config)
+        else:
+            state = _plain_gd_step(state, f_obs, pattern, shape, config, sigma1)
     return RecoveryReport(
         records=records,
         signal=state.z,

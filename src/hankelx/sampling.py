@@ -84,7 +84,7 @@ class SparseEstimate:
 def sample_pattern(n: int, m: int, mode: str, seed: int) -> ObservationPattern:
     """Draw m uniform indices from [0, n) under the given mode, seeded."""
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise ValueError(f"m must be >= 1, got {m}")
     rng = np.random.default_rng(seed)
     if mode == WITH_REPLACEMENT:
         idx = rng.integers(0, n, size=m)

@@ -63,7 +63,7 @@ class OutlierSpec:
 
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0 + 1e-12:
-            raise ValueError("alpha must lie in [0, 1]")
+            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
 
 
 def _min_wraparound_gap(freqs: np.ndarray) -> float:
@@ -88,7 +88,7 @@ def spectral_signal(
     if r < 1 or r > min(shape.n1, shape.n2):
         raise ValueError(f"rank {r} not in [1, {min(shape.n1, shape.n2)}]")
     if kappa < 1:
-        raise ValueError("kappa must be >= 1")
+        raise ValueError(f"kappa must be >= 1, got {kappa}")
     rng = np.random.default_rng(seed)
     for _ in range(_REJECTION_CAP):
         freqs = rng.uniform(0.0, 1.0, size=r)

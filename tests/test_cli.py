@@ -20,8 +20,15 @@ def test_unknown_command_exit_2(capsys):
     assert run_cli("frobnicate") == 2
 
 
-def test_unknown_key_exit_2(capsys):
+def test_unknown_key_exit_2(tmp_path, capsys):
     assert run_cli("gen", "kind=spectral", "n=64", "r=2", "bogus=1") == 2
+    # the global keys come from the command line only
+    cfg = tmp_path / "cfg.json"
+    for key, value in (("out", str(tmp_path / "o")), ("threads", 2), ("config", str(cfg))):
+        cfg.write_text(json.dumps({"kind": "spectral", "n": 64, "r": 2, key: value}))
+        assert run_cli("gen", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_gen_invalid_rank_exit_2(tmp_path, capsys):
@@ -38,6 +45,10 @@ def test_gen_non_integer_seed_exit_2(tmp_path, capsys):
 
 def test_gen_missing_config_file_exit_2(tmp_path, capsys):
     assert run_cli("gen", "--config", str(tmp_path / "nope.json")) == 2
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1, 2]")
+    assert run_cli("gen", "--config", str(cfg)) == 2
+    assert "must hold a JSON object" in capsys.readouterr().err
 
 
 def test_gen_spectral_deterministic(tmp_path):
@@ -100,6 +111,11 @@ def test_recover_pathological_graceful(tmp_path):
 
 def test_recover_missing_input_exit_2(tmp_path, capsys):
     assert run_cli("recover", f"input={tmp_path / 'absent'}") == 2
+    data = tmp_path / "data"
+    assert run_cli("gen", "--out", str(data), "kind=spectral", "n=64", "r=2") == 0
+    (data / "pattern.csv").write_text("")
+    assert run_cli("recover", "--out", str(tmp_path / "r"), f"input={data}") == 2
+    assert "lists no indices" in capsys.readouterr().err
 
 
 def test_recover_solver_error_exit_1(tmp_path, capsys):
@@ -126,6 +142,29 @@ def test_converge_empty_kappas_exit_2(capsys):
     assert run_cli("converge", "kappas=") == 2
 
 
+# input the library rejects while a command sets up, before any solve
+@pytest.mark.parametrize("args, named", [
+    (["gen", "kind=spectral", "n=64", "r=2", "m=100"], "cannot draw 100 distinct"),
+    (["gen", "kind=spectral", "n=64", "r=2", "alpha=1.5"], "alpha must lie in [0, 1], got 1.5"),
+    (["doa", "p=0"], "m must be >= 1, got 0"),
+    (["phase", "n=64", "r=2", "m_values=40,100", "alpha_values=0", "trials=1"],
+     "cannot draw 100 distinct"),
+    (["phase", "n=64", "m_values=64", "r_values=2,40", "trials=1"], "rank 40 not in [1, 32]"),
+    (["phase", "n=64", "r=2", "m_values=64", "alpha_values=0", "eta=2"],
+     "eta must lie in [0, 1], got 2.0"),
+    (["phase", "n=64", "r=2", "m_values=64", "alpha_values=0", "trials=0"],
+     "trials must be >= 1, got 0"),
+    (["converge", "n=64", "r=2", "kappas=1", "eta=2"], "eta must lie in [0, 1], got 2.0"),
+    (["converge", "n=64", "r=2", "kappas=1", "trials=0"], "trials must be >= 1, got 0"),
+], ids=["gen-m", "gen-alpha", "doa-p", "phase-m", "phase-r", "phase-eta", "phase-trials",
+        "converge-eta", "converge-trials"])
+def test_setup_rejection_exit_2(tmp_path, capsys, args, named):
+    out = tmp_path / "out"
+    assert run_cli(*args, "--out", str(out)) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_phase_single_cell(tmp_path):
     out = tmp_path / "phase"
     assert run_cli("phase", "--out", str(out), "--seed", "2", "n=64", "r=2",
@@ -148,6 +187,10 @@ def test_phase_thread_count_does_not_change_bytes(tmp_path):
     assert run_cli(*args, "--out", str(out1), "--threads", "1") == 0
     assert run_cli(*args, "--out", str(out2), "--threads", "3") == 0
     assert (out1 / "phase.csv").read_bytes() == (out2 / "phase.csv").read_bytes()
+    # every global flag also takes the --key=value form
+    out3 = tmp_path / "t3"
+    assert run_cli(*args[:1], "--seed=9", *args[3:], f"--out={out3}", "--threads=2") == 0
+    assert (out1 / "phase.csv").read_bytes() == (out3 / "phase.csv").read_bytes()
     assert run_cli(*args, "--out", str(tmp_path / "t0"), "--threads", "0") == 2
     for bad in (["--threads", "abc"], ["--seed", "x"], ["seed=x"]):
         assert run_cli(*args, "--out", str(tmp_path / "tx"), *bad) == 2
@@ -181,6 +224,13 @@ def test_config_file_with_override(tmp_path):
     assert run_cli("gen", "--config", str(cfg), "--out", str(out2), "n=128") == 0
     assert load_signal(out1 / "signal.hnkz").shape.n == 64
     assert load_signal(out2 / "signal.hnkz").shape.n == 128
+    # the command line's seed beats the file's, in either flag form
+    out3 = tmp_path / "c"
+    out4 = tmp_path / "d"
+    assert run_cli("gen", "--config", str(cfg), "--out", str(out3), "--seed", "3") == 0
+    assert run_cli("gen", f"--out={out4}", "--seed=3", "kind=spectral", "n=64", "r=2") == 0
+    assert json.loads((out3 / "meta.json").read_text())["seed"] == 3
+    assert (out3 / "signal.hnkz").read_bytes() == (out4 / "signal.hnkz").read_bytes()
 
 
 @pytest.mark.parametrize("key, value", [
