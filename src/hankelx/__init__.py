@@ -24,8 +24,7 @@ from .hankel import (
 from .linalg import (
     DegenerateGramError,
     TruncatedSVD,
-    hermitian_eig,
-    inverse,
+    gram_inverse,
     truncated_svd,
 )
 from .recovery import (

@@ -232,9 +232,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_run(out: Path, report: RecoveryReport, seconds: float, config: dict, **head):
-    """``summary.json`` (``head``'s keys first) and ``trace.csv`` of one solve."""
+def _write_run(
+    out: Path, report: RecoveryReport, seconds: float, config: dict, success: bool, **iters
+):
+    """``summary.json`` and ``trace.csv`` of one solve.
+
+    The summary's ``err`` is the final error, or null when it is not finite:
+    unknown without ground truth, or overflowed by a diverging solve.
+    """
+    err = report.final_error
     out.mkdir(parents=True, exist_ok=True)
+    head = {"success": success, "err": err if math.isfinite(err) else None, **iters}
     _write_json(
         out / "summary.json",
         {**head, "seconds": seconds, "termination": report.termination, "config": config},
@@ -281,8 +289,12 @@ def _make_instance(n, r, kappa, m, alpha, magnitude_scale, seed):
     return (sig, *_observe(sig, m, WITHOUT_REPLACEMENT, alpha, magnitude_scale, seed))
 
 
-def _solver_config(params: dict, rank, alpha, seed, bound="auto") -> RecoveryConfig:
+def _solver_config(
+    params: dict, shape: HankelShape, rank, alpha, seed, bound="auto"
+) -> RecoveryConfig:
     """Checked solver settings shared by every command; the solver seed derives from ``seed``."""
+    if rank > min(shape.n1, shape.n2):
+        raise ConfigError(f"rank {rank} not in [1, {min(shape.n1, shape.n2)}]")
     config = RecoveryConfig(
         rank=rank,
         alpha=alpha,
@@ -395,7 +407,7 @@ def cmd_recover(params: dict, seed: int, out: Path) -> int:
     if alpha < 0:
         alpha = float(meta.get("alpha", 0.0))
     runner = _runner(params["solver"])
-    config = _solver_config(params, rank, alpha, seed, bound=params["bound"])
+    config = _solver_config(params, observed.shape, rank, alpha, seed, bound=params["bound"])
     start = time.perf_counter()
     report = runner(
         observed.z,
@@ -411,7 +423,6 @@ def cmd_recover(params: dict, seed: int, out: Path) -> int:
     _write_run(
         out, report, seconds, {**params, "rank": rank, "alpha": alpha, "seed": seed},
         success=bool(success),
-        err=None if truth is None else report.final_error,
         iters=report.iterations,
     )
     return 0
@@ -436,7 +447,9 @@ def cmd_converge(params: dict, seed: int, out: Path) -> int:
                         n, params["r"], kappa, m, params["alpha"],
                         params["magnitude_scale"], cell_seed,
                     )
-                    config = _solver_config(params, params["r"], params["alpha"], cell_seed)
+                    config = _solver_config(
+                        params, sig.shape, params["r"], params["alpha"], cell_seed
+                    )
                     traces.append(runner(f_obs, pattern, sig.shape, config, ground_truth=sig.z))
             except (RuntimeError, ValueError) as exc:
                 status = f"error: {exc}"
@@ -493,7 +506,7 @@ def _phase_trial(params, seed, x_axis, y_axis, x, y, trial):
     sig, pattern, f_obs, _ = _make_instance(
         n, rank, params["kappa"], m, alpha, params["magnitude_scale"], trial_seed
     )
-    config = _solver_config(params, rank, alpha, trial_seed)
+    config = _solver_config(params, sig.shape, rank, alpha, trial_seed)
     try:
         report = run_hsnld(f_obs, pattern, sig.shape, config, ground_truth=sig.z)
     except (ValueError, RuntimeError):
@@ -526,7 +539,7 @@ def cmd_doa(params: dict, seed: int, out: Path) -> int:
     pattern, f_obs, _ = _observe(
         sig, m, WITHOUT_REPLACEMENT, params["alpha"], params["magnitude_scale"], seed
     )
-    config = _solver_config(params, rank, params["alpha"], seed)
+    config = _solver_config(params, sig.shape, rank, params["alpha"], seed)
     start = time.perf_counter()
     report = run_hsnld(f_obs, pattern, sig.shape, config, ground_truth=sig.z)
     seconds = time.perf_counter() - start
@@ -536,7 +549,6 @@ def cmd_doa(params: dict, seed: int, out: Path) -> int:
     _write_run(
         out, report, seconds, {**params, "rank": rank, "m": m, "seed": seed},
         success=bool(reached >= 0),
-        err=report.final_error,
         iters=reached,
         iters_run=report.iterations,
     )

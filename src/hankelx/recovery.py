@@ -32,7 +32,7 @@ from .hankel import (
     _lowrank_spectra,
     _sqrt_counts,
 )
-from .linalg import DegenerateGramError, inverse, truncated_svd
+from .linalg import DegenerateGramError, gram_inverse, truncated_svd
 from .sampling import (
     ObservationPattern,
     SparseEstimate,
@@ -304,8 +304,8 @@ def hsnld_step(
     eta = config.eta
     grad_l, grad_r = _factor_products(_descent_direction(state, pattern), state.spectra)
     try:
-        inv_gram_r = inverse(R.conj().T @ R)
-        inv_gram_l = inverse(L.conj().T @ L)
+        inv_gram_r = gram_inverse(R)
+        inv_gram_l = gram_inverse(L)
     except DegenerateGramError as exc:
         raise SolverError(str(exc), state.iteration) from exc
     new_l = (1.0 - eta) * L - eta * grad_l @ inv_gram_r
@@ -362,10 +362,11 @@ def _run(
 
     termination = "max_iters"
     while True:
-        res = residual_of(state)
-        records.append(
-            IterationRecord(state.iteration, res, error_of(state), time.perf_counter() - start)
-        )
+        # a diverging iterate's norms overflow; the non-finite stop below reports it
+        with np.errstate(over="ignore"):
+            res = residual_of(state)
+            err = error_of(state)
+        records.append(IterationRecord(state.iteration, res, err, time.perf_counter() - start))
         if res <= config.tol_residual:
             termination = "residual_tol"
             break
@@ -410,7 +411,9 @@ def run_hsnld(
     """Full solve: spectral initialization then preconditioned iterations.
 
     Stops at the relative observed residual tolerance, on a non-finite
-    residual, or at the iteration cap; a singular or non-finite factor Gram
+    residual, or at the iteration cap.  Each step right-multiplies a factor's
+    gradient by the other factor's inverse Gram, from
+    :func:`~hankelx.linalg.gram_inverse`; a zero, non-finite or singular Gram
     raises :class:`SolverError`.
     """
     return _run("hsnld", f_obs, pattern, shape, config, ground_truth)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,25 @@ def test_recover_pathological_graceful(tmp_path):
     assert summary["success"] is False
 
 
+def test_recover_diverged_summary_is_strict_json(tmp_path, capsys):
+    data = tmp_path / "data"
+    out = tmp_path / "result"
+    assert run_cli("gen", "--out", str(data), "--seed", "7", "kind=spectral",
+                   "n=255", "r=5", "kappa=10", "p=0.6", "alpha=0.1") == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("recover", "--out", str(out), "--seed", "2", f"input={data}",
+                       "bound=5.0") == 0
+    assert capsys.readouterr().err == ""
+
+    def strict(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=strict)
+    assert summary["termination"] == "diverged"
+    assert summary["err"] is None and summary["success"] is False
+
+
 def test_recover_missing_input_exit_2(tmp_path, capsys):
     assert run_cli("recover", f"input={tmp_path / 'absent'}") == 2
     data = tmp_path / "data"
@@ -156,9 +176,15 @@ def test_converge_empty_kappas_exit_2(capsys):
      "trials must be >= 1, got 0"),
     (["converge", "n=64", "r=2", "kappas=1", "eta=2"], "eta must lie in [0, 1], got 2.0"),
     (["converge", "n=64", "r=2", "kappas=1", "trials=0"], "trials must be >= 1, got 0"),
+    (["recover", "input={gen}", "r=100"], "rank 100 not in [1, 32]"),
+    (["doa", "n=1"], "rank 3 not in [1, 1]"),
 ], ids=["gen-m", "gen-alpha", "doa-p", "phase-m", "phase-r", "phase-eta", "phase-trials",
-        "converge-eta", "converge-trials"])
+        "converge-eta", "converge-trials", "recover-r", "doa-n"])
 def test_setup_rejection_exit_2(tmp_path, capsys, args, named):
+    if "input={gen}" in args:
+        data = tmp_path / "gen"
+        assert run_cli("gen", "--out", str(data), "kind=spectral", "n=64", "r=2") == 0
+        args = [f"input={data}" if a == "input={gen}" else a for a in args]
     out = tmp_path / "out"
     assert run_cli(*args, "--out", str(out)) == 2
     assert named in capsys.readouterr().err
