@@ -14,6 +14,8 @@ indices i + t <= n - 1 < N, so a circular transform of that length never
 wraps around.  Convention: numpy's unnormalized forward DFT, 1/N on the
 inverse and on the second (forward) transform of a product.  Blocks are
 transformed as C-contiguous (k, N) rows along the last axis, one call each.
+A public block product (the spectral initialization's) holds one (k, N)
+block: its spectrum is multiplied and transformed again in place.
 
 Per solver iteration this costs 4 transform calls over 4r + 2 rows: 2r + 1 to
 map the factors to a vector, and 2r + 1 for the step's two products, which
@@ -196,15 +198,17 @@ def _row_spectrum(blocks, size: int) -> np.ndarray:
     return np.fft.fft(rows, out=rows)
 
 
-def _correlate(spec: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _correlate(spec: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row j, entry m: sum_t conj(y_{m+t}) W_{t,j}, from spec = fft of W's columns.
 
     The one product kernel: spec is a (k, N) :func:`_row_spectrum` block, and
     the 1/N-scaled forward FFT of spec * conj(fft(y)) read at m is its inverse
     read at -m.  Callers keep m + t <= len(y) - 1 < N, so nothing wraps.  The
-    transform runs in place (NumPy >= 2.0); a fresh block cost 2-3x as much.
+    product goes to ``out``: a fresh block by default, or ``spec`` itself when
+    the caller owns it.  The transform runs in place (NumPy >= 2.0); a fresh
+    block cost 2-3x as much.
     """
-    prod = spec * np.fft.fft(y, spec.shape[1]).conj()
+    prod = np.multiply(spec, np.fft.fft(y, spec.shape[1]).conj(), out=out)
     return np.fft.fft(prod, norm="forward", out=prod)
 
 
@@ -218,11 +222,13 @@ def _factor_products(sig: WeightedSignal, spec: np.ndarray):
 
 def _block_product(y: np.ndarray, W, rows: int) -> np.ndarray:
     """Entries m < ``rows`` of :func:`_correlate` for a block W of len(y) - rows + 1
-    rows, as columns: 2k + 1 FFTs of length next_pow_two(len(y)) in 3 calls."""
+    rows, as columns: 2k + 1 FFTs of length next_pow_two(len(y)) in 3 calls, all
+    in the one (k, N) block that holds W's spectrum."""
     W = np.asarray(W, dtype=np.complex128)
     if W.ndim != 2 or W.shape[0] != y.size - rows + 1:
         raise ValueError(f"expected {y.size - rows + 1} rows, got {W.shape}")
-    return _correlate(_row_spectrum((W,), _fft_length(y.size)), y)[:, :rows].T
+    spec = _row_spectrum((W,), _fft_length(y.size))
+    return _correlate(spec, y, out=spec)[:, :rows].T
 
 
 def hankel_matmat(sig: WeightedSignal, V) -> np.ndarray:

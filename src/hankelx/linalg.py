@@ -31,7 +31,11 @@ def gram_inverse(A) -> np.ndarray:
     A zero or non-finite Gram, or one whose eigenvalues span a ratio below
     1e-12, raises :class:`DegenerateGramError`.
     """
-    G = A.conj().T @ A
+    return _invert_gram(A.conj().T @ A)
+
+
+def _invert_gram(G: np.ndarray) -> np.ndarray:
+    """:func:`gram_inverse` of a factor whose Gram G = A^H A is already formed."""
     if not (np.isfinite(G).all() and np.any(G)):
         raise DegenerateGramError("degenerate factor Gram matrix (zero or non-finite input)")
     # eigh reads one triangle; average both, since the product's roundoff may differ
@@ -92,7 +96,10 @@ def truncated_svd(
         )
     rng = np.random.default_rng(seed)
 
-    block = rng.standard_normal((n2, width)) + 1j * rng.standard_normal((n2, width))
+    # the same bytes as a + 1j*b, with one complex allocation instead of two
+    block = np.empty((n2, width), dtype=np.complex128)
+    block.real = rng.standard_normal((n2, width))
+    block.imag = rng.standard_normal((n2, width))
     Q, _ = np.linalg.qr(matvec(block))
     for _ in range(power_iters):
         Z, _ = np.linalg.qr(rmatvec(Q))

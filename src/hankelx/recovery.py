@@ -32,7 +32,7 @@ from .hankel import (
     _lowrank_spectra,
     _sqrt_counts,
 )
-from .linalg import DegenerateGramError, gram_inverse, truncated_svd
+from .linalg import DegenerateGramError, _invert_gram, truncated_svd
 from .sampling import (
     ObservationPattern,
     SparseEstimate,
@@ -76,16 +76,29 @@ AUTO_BOUND_SAFETY = 1.5
 
 @dataclass
 class Factors:
-    """Low-rank factor pair; the estimate of the embedded matrix is L @ R^H."""
+    """Low-rank factor pair; the estimate of the embedded matrix is L @ R^H.
+
+    ``gram_l`` and ``gram_r``, when set, are L^H L and R^H R as
+    :func:`project_incoherence` formed them for these very arrays.  They are
+    valid only while L and R stay unmodified.
+    """
 
     L: np.ndarray
     R: np.ndarray
+    gram_l: np.ndarray | None = None
+    gram_r: np.ndarray | None = None
 
     def __post_init__(self):
         self.L = np.asarray(self.L, dtype=np.complex128)
         self.R = np.asarray(self.R, dtype=np.complex128)
         if self.L.ndim != 2 or self.R.ndim != 2 or self.L.shape[1] != self.R.shape[1]:
             raise ValueError("factor shapes are inconsistent")
+
+    def grams(self) -> tuple[np.ndarray, np.ndarray]:
+        """(L^H L, R^H R): the carried Grams where set, formed here otherwise."""
+        gram_l = self.L.conj().T @ self.L if self.gram_l is None else self.gram_l
+        gram_r = self.R.conj().T @ self.R if self.gram_r is None else self.gram_r
+        return gram_l, gram_r
 
 
 def default_gamma(k: int) -> float:
@@ -116,10 +129,13 @@ class RecoveryConfig:
         if isinstance(bound, str):
             if bound != "auto":
                 raise ValueError(f"incoherence_bound must be 'auto' or a number, got {bound!r}")
-        elif bound <= 0:
-            raise ValueError(f"incoherence_bound must be positive, got {bound}")
+        elif not (math.isfinite(bound) and bound > 0):
+            raise ValueError(f"incoherence_bound must be finite and positive, got {bound}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        # a NaN tolerance would never stop the solve, yet report no fault
+        if not (math.isfinite(self.tol_residual) and self.tol_residual >= 0):
+            raise ValueError(f"tol_residual must be finite and >= 0, got {self.tol_residual}")
 
 
 @dataclass
@@ -165,15 +181,31 @@ def project_incoherence(L, R, bound: float) -> Factors:
     matrices, not sequentially updated ones.  The row norms need no matrix
     square root: ||L_i G^{1/2}||^2 = Re(L_i G L_i^H), clamped at 0 against
     roundoff.
+
+    A side with no row over the bound is returned as the input array itself
+    (converted to complex128), not a copy, and carries the Gram formed here,
+    so the next step does not form it again.  A clipped side is a scaled copy
+    and carries none.
     """
     L = np.asarray(L, dtype=np.complex128)
     R = np.asarray(R, dtype=np.complex128)
-    row_l = _gram_row_norms(L, R.conj().T @ R)
-    row_r = _gram_row_norms(R, L.conj().T @ L)
+    gram_l = L.conj().T @ L
+    gram_r = R.conj().T @ R
+    row_l = _gram_row_norms(L, gram_r)
+    row_r = _gram_row_norms(R, gram_l)
+    L, gram_l = _shrink_rows(L, gram_l, row_l, bound)
+    R, gram_r = _shrink_rows(R, gram_r, row_r, bound)
+    return Factors(L, R, gram_l, gram_r)
+
+
+def _shrink_rows(A: np.ndarray, gram: np.ndarray, rows: np.ndarray, bound: float):
+    """A with its rows over ``bound`` scaled onto it, and A's Gram if no row was."""
+    over = rows > bound
+    if not over.any():
+        return A, gram
     with np.errstate(divide="ignore", invalid="ignore"):
-        scale_l = np.where(row_l > bound, bound / row_l, 1.0)
-        scale_r = np.where(row_r > bound, bound / row_r, 1.0)
-    return Factors(scale_l[:, None] * L, scale_r[:, None] * R)
+        scale = np.where(over, bound / rows, 1.0)
+    return scale[:, None] * A, None
 
 
 def _gram_row_norms(A: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -303,13 +335,20 @@ def hsnld_step(
     L, R = state.factors.L, state.factors.R
     eta = config.eta
     grad_l, grad_r = _factor_products(_descent_direction(state, pattern), state.spectra)
+    gram_l, gram_r = state.factors.grams()
     try:
-        inv_gram_r = gram_inverse(R)
-        inv_gram_l = gram_inverse(L)
+        inv_gram_r = _invert_gram(gram_r)
+        inv_gram_l = _invert_gram(gram_l)
     except DegenerateGramError as exc:
         raise SolverError(str(exc), state.iteration) from exc
-    new_l = (1.0 - eta) * L - eta * grad_l @ inv_gram_r
-    new_r = (1.0 - eta) * R - eta * grad_r @ inv_gram_l
+    # (1 - eta) L - (eta grad_l) inv_gram_r, operation for operation, in the
+    # step's own product blocks and one fresh array per factor
+    grad_l *= eta
+    grad_r *= eta
+    new_l = (1.0 - eta) * L
+    new_l -= grad_l @ inv_gram_r
+    new_r = (1.0 - eta) * R
+    new_r -= grad_r @ inv_gram_l
     factors = project_incoherence(new_l, new_r, state.bound)
     return _refresh(factors, f_obs, pattern, shape, config, state.iteration + 1, state.bound)
 
@@ -395,8 +434,9 @@ def _plain_gd_step(state, f_obs, pattern, shape, config, sigma1) -> IterateState
     L, R = state.factors.L, state.factors.R
     step = config.eta / sigma1
     grad_l, grad_r = _factor_products(_descent_direction(state, pattern), state.spectra)
-    grad_l += L @ (R.conj().T @ R)
-    grad_r += R @ (L.conj().T @ L)
+    gram_l, gram_r = state.factors.grams()
+    grad_l += L @ gram_r
+    grad_r += R @ gram_l
     factors = project_incoherence(L - step * grad_l, R - step * grad_r, state.bound)
     return _refresh(factors, f_obs, pattern, shape, config, state.iteration + 1, state.bound)
 
@@ -412,9 +452,10 @@ def run_hsnld(
 
     Stops at the relative observed residual tolerance, on a non-finite
     residual, or at the iteration cap.  Each step right-multiplies a factor's
-    gradient by the other factor's inverse Gram, from
-    :func:`~hankelx.linalg.gram_inverse`; a zero, non-finite or singular Gram
-    raises :class:`SolverError`.
+    gradient by the other factor's inverse Gram, as
+    :func:`~hankelx.linalg.gram_inverse` computes it from the Gram the last
+    projection formed; a zero, non-finite or singular Gram raises
+    :class:`SolverError`.
     """
     return _run("hsnld", f_obs, pattern, shape, config, ground_truth)
 

@@ -178,8 +178,11 @@ def test_converge_empty_kappas_exit_2(capsys):
     (["converge", "n=64", "r=2", "kappas=1", "trials=0"], "trials must be >= 1, got 0"),
     (["recover", "input={gen}", "r=100"], "rank 100 not in [1, 32]"),
     (["doa", "n=1"], "rank 3 not in [1, 1]"),
+    (["recover", "input={gen}", "tol_residual=nan"], "tol_residual must be finite and >= 0"),
+    (["recover", "input={gen}", "bound=inf"], "incoherence_bound must be finite and positive"),
 ], ids=["gen-m", "gen-alpha", "doa-p", "phase-m", "phase-r", "phase-eta", "phase-trials",
-        "converge-eta", "converge-trials", "recover-r", "doa-n"])
+        "converge-eta", "converge-trials", "recover-r", "doa-n", "recover-tol-nan",
+        "recover-bound-inf"])
 def test_setup_rejection_exit_2(tmp_path, capsys, args, named):
     if "input={gen}" in args:
         data = tmp_path / "gen"

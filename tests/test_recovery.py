@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -69,8 +71,13 @@ def test_config_validation():
         RecoveryConfig(rank=0, alpha=0.1).validate()
     with pytest.raises(ValueError):
         RecoveryConfig(rank=1, alpha=0.1, eta=1.5).validate()
-    with pytest.raises(ValueError):
-        RecoveryConfig(rank=1, alpha=0.1, incoherence_bound=-1.0).validate()
+    for bound in (-1.0, 0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="incoherence_bound"):
+            RecoveryConfig(rank=1, alpha=0.1, incoherence_bound=bound).validate()
+    for tol in (-1e-5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol_residual"):
+            RecoveryConfig(rank=1, alpha=0.1, tol_residual=tol).validate()
+    RecoveryConfig(rank=1, alpha=0.1, incoherence_bound=2.0, tol_residual=0.0).validate()
 
 
 def test_project_incoherence_identity_within_bound(rng):
@@ -78,8 +85,19 @@ def test_project_incoherence_identity_within_bound(rng):
     R = rand_complex(rng, 11, 2)
     big = 10 * row_cross_norms(L, R)
     out = project_incoherence(L, R, big)
-    np.testing.assert_array_equal(out.L, L)
-    np.testing.assert_array_equal(out.R, R)
+    # an unclipped side is the input array itself, with its Gram handed on
+    assert out.L is L and out.R is R
+    np.testing.assert_array_equal(out.gram_l, L.conj().T @ L)
+    np.testing.assert_array_equal(out.gram_r, R.conj().T @ R)
+    # a clipped side is a scaled copy and hands on no Gram
+    row_l = np.sqrt(np.einsum("ij,ij->i", L @ (R.conj().T @ R), L.conj()).real)
+    bound = 0.999 * row_l.max()
+    L_in = L.copy()
+    out = project_incoherence(L, R, bound)
+    assert out.L is not L and out.gram_l is None
+    np.testing.assert_array_equal(L, L_in)
+    scale = np.where(row_l > bound, bound / row_l, 1.0)
+    np.testing.assert_array_equal(out.L, scale[:, None] * L)
 
 
 def test_project_incoherence_scalar_case():
@@ -297,6 +315,66 @@ def test_transform_budget(monkeypatch):
         monkeypatch.setattr(recovery, name, product)
     spectral_init(f_obs, pattern, shape, r, config.alpha)
     assert products == ["hankel_matmat", "hankel_rmatmat"] * 2
+
+
+def _iterate_arrays(state):
+    return {
+        "L": state.factors.L, "R": state.factors.R, "spectra": state.spectra,
+        "gap": state.gap, "z": state.z.z, "s": state.s.s,
+    }
+
+
+def test_steps_and_products_leave_inputs_unmodified():
+    # the steps scale and subtract in their own product blocks, and the block
+    # products transform in place in a block they allocate
+    shape, pattern, f_obs, config, sigma1, state = _mid_solve_state(255, 5, 183)
+    before = {k: v.copy() for k, v in _iterate_arrays(state).items()}
+    hsnld_step(state, f_obs, pattern, shape, config)
+    _plain_gd_step(state, f_obs, pattern, shape, config, sigma1)
+    for name, array in _iterate_arrays(state).items():
+        np.testing.assert_array_equal(array, before[name], err_msg=name)
+
+    L, R = state.factors.L.copy(), state.factors.R.copy()
+    hankel_matmat(state.z, R)
+    hankel_rmatmat(state.z, L)
+    np.testing.assert_array_equal(R, state.factors.R)
+    np.testing.assert_array_equal(L, state.factors.L)
+
+
+def test_carried_grams_change_no_bit():
+    # a step reuses the Grams the projection formed; forming them afresh from
+    # the same factors must give the same bytes
+    shape, pattern, f_obs, config, sigma1, state = _mid_solve_state(255, 5, 185)
+    assert state.factors.gram_l is not None and state.factors.gram_r is not None
+    bare = _refresh(Factors(state.factors.L.copy(), state.factors.R.copy()), f_obs,
+                    pattern, shape, config, state.iteration, state.bound)
+    assert bare.factors.gram_l is None and bare.factors.gram_r is None
+    for step in (
+        lambda st: hsnld_step(st, f_obs, pattern, shape, config),
+        lambda st: _plain_gd_step(st, f_obs, pattern, shape, config, sigma1),
+    ):
+        got, want = step(state), step(bare)
+        for name, array in _iterate_arrays(got).items():
+            np.testing.assert_array_equal(array, _iterate_arrays(want)[name], err_msg=name)
+
+
+def test_block_product_allocation_budget():
+    # one (k, N) complex block, plus length-N vectors: the spectrum is
+    # multiplied and transformed again where it was formed
+    n, k = 4095, 15
+    shape = HankelShape.square(n)
+    rng = np.random.default_rng(187)
+    sig = WeightedSignal(shape, rand_complex(rng, n))
+    V = rand_complex(rng, shape.n2, k)
+    block = k * 4096 * np.dtype(np.complex128).itemsize
+    hankel_matmat(sig, V)
+    tracemalloc.start()
+    try:
+        hankel_matmat(sig, V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * block, f"peak {peak / block:.2f} blocks"
 
 
 def test_run_hsnld_clean_full_observation_fast():
