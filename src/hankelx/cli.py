@@ -379,19 +379,20 @@ def _load_instance_dir(path: Path):
         raise ConfigError(f"input directory {path} is missing observed.hnkz or pattern.csv")
     observed = load_signal(path / "observed.hnkz")
     with open(path / "pattern.csv", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        indices = np.array([int(row[0]) for row in reader], dtype=np.int64)
+        rows = list(csv.reader(fh))[1:]
+    indices = np.array([_parse_int("pattern.csv index", r[0] if r else "") for r in rows], np.int64)
     if indices.size == 0:
         raise ConfigError(f"{path / 'pattern.csv'} lists no indices")
     meta = {}
     if (path / "meta.json").is_file():
         meta = json.loads((path / "meta.json").read_text())
+        if not isinstance(meta, dict):
+            raise ConfigError(f"{path / 'meta.json'} must hold a JSON object")
     mode = meta.get("mode", WITHOUT_REPLACEMENT)
     pattern = ObservationPattern(n=observed.shape.n, indices=indices, mode=mode)
-    truth = None
-    if (path / "signal.hnkz").is_file():
-        truth = load_signal(path / "signal.hnkz")
+    truth = load_signal(path / "signal.hnkz") if (path / "signal.hnkz").is_file() else None
+    if truth is not None and truth.shape.n != observed.shape.n:
+        raise ConfigError(f"signal.hnkz length {truth.shape.n} != observed {observed.shape.n}")
     return observed, pattern, truth, meta
 
 
@@ -400,12 +401,13 @@ def cmd_recover(params: dict, seed: int, out: Path) -> int:
         raise ConfigError("recover needs input=DIR pointing at generated files")
     with _rejected_input():
         observed, pattern, truth, meta = _load_instance_dir(Path(params["input"]))
-    rank = params["r"] or meta.get("r") or 0
+    # meta.json's values take the command line's casts
+    rank = params["r"] or _apply_schema("recover", {"r": meta.get("r") or 0})["r"]
     if rank < 1:
         raise ConfigError("rank r must be given (or present in meta.json)")
     alpha = params["alpha"]
     if alpha < 0:
-        alpha = float(meta.get("alpha", 0.0))
+        alpha = _apply_schema("recover", {"alpha": meta.get("alpha", 0.0)})["alpha"]
     runner = _runner(params["solver"])
     config = _solver_config(params, observed.shape, rank, alpha, seed, bound=params["bound"])
     start = time.perf_counter()
@@ -585,8 +587,8 @@ def main(argv: list[str] | None = None) -> int:
         if config_file:
             try:
                 raw = json.loads(Path(config_file).read_text())
-            except FileNotFoundError as exc:
-                raise ConfigError(f"config file not found: {exc}") from exc
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"cannot read config file: {exc}") from exc
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"bad config file: {exc}") from exc
             if not isinstance(raw, dict):

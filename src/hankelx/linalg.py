@@ -1,6 +1,6 @@
 """Dense complex linear algebra at factor scale (r x r and n x r).
 
-The inverse Gram matrix of a factor, which preconditions every HSNLD step,
+The inverse of a factor's Gram matrix, which preconditions every HSNLD step,
 plus a randomized truncated SVD driven entirely by caller-supplied block
 matvec callables so the large dimension is only ever touched through fast
 operator products.
@@ -25,17 +25,13 @@ class DegenerateGramError(RuntimeError):
     """Raised when a factor Gram matrix is numerically singular (rank collapse)."""
 
 
-def gram_inverse(A) -> np.ndarray:
-    """Inverse (A^H A)^{-1} of the Gram matrix of a factor A, refusing rank collapse.
+def gram_inverse(G: np.ndarray) -> np.ndarray:
+    """Inverse G^{-1} of a factor's Gram matrix G = A^H A, refusing rank collapse.
 
-    A zero or non-finite Gram, or one whose eigenvalues span a ratio below
-    1e-12, raises :class:`DegenerateGramError`.
+    The caller forms G; :func:`~hankelx.recovery.hsnld_step` passes the Grams
+    the incoherence projection formed.  A zero or non-finite G, or one whose
+    eigenvalues span a ratio below 1e-12, raises :class:`DegenerateGramError`.
     """
-    return _invert_gram(A.conj().T @ A)
-
-
-def _invert_gram(G: np.ndarray) -> np.ndarray:
-    """:func:`gram_inverse` of a factor whose Gram G = A^H A is already formed."""
     if not (np.isfinite(G).all() and np.any(G)):
         raise DegenerateGramError("degenerate factor Gram matrix (zero or non-finite input)")
     # eigh reads one triangle; average both, since the product's roundoff may differ
@@ -65,7 +61,6 @@ def truncated_svd(
     n1: int,
     n2: int,
     rank: int,
-    oversample: int | None = None,
     power_iters: int = 1,
     seed: int = 0,
 ) -> TruncatedSVD:
@@ -73,12 +68,12 @@ def truncated_svd(
 
     ``matvec`` and ``rmatvec`` must accept 2-D blocks: (n2, k) -> (n1, k) and
     (n1, k) -> (n2, k).  Subspace iteration starts from a complex Gaussian
-    block of width rank + oversample (by default max(10, 2*rank), clamped so
-    the width fits in min(n1, n2)), re-orthonormalizes with a thin QR after
-    every half-step, and finishes with an eigendecomposition of the small
-    projected Gram matrix.  Singular values at roundoff level relative to the
-    largest are set to 0, and their V columns left zero.  Fully determined by
-    ``seed``.
+    block of width rank + max(10, 2*rank), clamped to min(n1, n2) (so no
+    oversampling at rank = min(n1, n2)), re-orthonormalizes with a thin QR
+    after every half-step, and finishes with an eigendecomposition of the
+    small projected Gram matrix.  Singular values at roundoff level relative
+    to the largest are set to 0, and their V columns left zero.  Fully
+    determined by ``seed``.
 
     One power pass by default: when the spectrum has a gap at ``rank``, as a
     rank-r signal plus sampling noise does, one pass finds the leading subspace
@@ -87,13 +82,7 @@ def truncated_svd(
     """
     if not 1 <= rank <= min(n1, n2):
         raise ValueError(f"rank {rank} not in [1, {min(n1, n2)}]")
-    if oversample is None:
-        oversample = min(max(10, 2 * rank), min(n1, n2) - rank)
-    width = rank + oversample
-    if width > min(n1, n2):
-        raise ValueError(
-            f"rank + oversample = {width} exceeds min(n1, n2) = {min(n1, n2)}"
-        )
+    width = min(rank + max(10, 2 * rank), min(n1, n2))
     rng = np.random.default_rng(seed)
 
     # the same bytes as a + 1j*b, with one complex allocation instead of two

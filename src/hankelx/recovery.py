@@ -32,7 +32,7 @@ from .hankel import (
     _lowrank_spectra,
     _sqrt_counts,
 )
-from .linalg import DegenerateGramError, _invert_gram, truncated_svd
+from .linalg import DegenerateGramError, gram_inverse, truncated_svd
 from .sampling import (
     ObservationPattern,
     SparseEstimate,
@@ -217,7 +217,6 @@ def _gram_row_norms(A: np.ndarray, gram: np.ndarray) -> np.ndarray:
 @dataclass
 class InitResult:
     factors: Factors
-    outliers: SparseEstimate
     top_singular_value: float
     incoherence_bound: float
 
@@ -295,7 +294,7 @@ def spectral_init(
         resolved = float(bound)
     sqrt_s = np.sqrt(tsvd.S)
     factors = project_incoherence(tsvd.U * sqrt_s, tsvd.V * sqrt_s, resolved)
-    return InitResult(factors, s0, sigma1, resolved)
+    return InitResult(factors, sigma1, resolved)
 
 
 @dataclass
@@ -337,8 +336,8 @@ def hsnld_step(
     grad_l, grad_r = _factor_products(_descent_direction(state, pattern), state.spectra)
     gram_l, gram_r = state.factors.grams()
     try:
-        inv_gram_r = _invert_gram(gram_r)
-        inv_gram_l = _invert_gram(gram_l)
+        inv_gram_r = gram_inverse(gram_r)
+        inv_gram_l = gram_inverse(gram_l)
     except DegenerateGramError as exc:
         raise SolverError(str(exc), state.iteration) from exc
     # (1 - eta) L - (eta grad_l) inv_gram_r, operation for operation, in the

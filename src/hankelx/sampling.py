@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,20 +65,16 @@ class ObservationPattern:
 
 @dataclass
 class SparseEstimate:
-    """A vector that is zero off its recorded support."""
+    """A sparse vector; its support is read off its nonzeros, never stored."""
 
     s: np.ndarray
-    support: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=np.complex128)
-        if self.support is None:
-            self.support = np.flatnonzero(self.s)
-        self.support = np.asarray(self.support, dtype=np.int64)
-        off = np.ones(self.s.size, dtype=bool)
-        off[self.support] = False
-        if np.any(self.s[off] != 0):
-            raise ValueError("estimate is nonzero off its support")
+
+    @property
+    def support(self) -> np.ndarray:
+        return np.flatnonzero(self.s)
 
 
 def sample_pattern(n: int, m: int, mode: str, seed: int) -> ObservationPattern:
@@ -123,10 +119,10 @@ def top_k_threshold(v, k: int) -> SparseEstimate:
     n = v.size
     out = np.zeros(n, dtype=np.complex128)
     if k == 0:
-        return SparseEstimate(out, np.empty(0, dtype=np.int64))
+        return SparseEstimate(out)
     if k >= n:
         out[:] = v
-        return SparseEstimate(out, np.flatnonzero(v))
+        return SparseEstimate(out)
     mag = np.abs(v)
     boundary = np.partition(mag, n - k)[n - k]
     chosen = mag > boundary
@@ -134,7 +130,7 @@ def top_k_threshold(v, k: int) -> SparseEstimate:
     if need > 0:
         chosen[np.flatnonzero(mag == boundary)[:need]] = True
     out[chosen] = v[chosen]
-    return SparseEstimate(out, np.flatnonzero(chosen & (v != 0)))
+    return SparseEstimate(out)
 
 
 def keep_count(gamma: float, alpha: float, m: int, n: int) -> int:

@@ -202,7 +202,9 @@ def load_signal(path) -> WeightedSignal:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
-        version, n, n1 = struct.unpack("<IQI", fh.read(16))
+        if len(header := fh.read(16)) < 16:
+            raise ValueError(f"{path}: truncated header")
+        version, n, n1 = struct.unpack("<IQI", header)
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
         payload = np.frombuffer(fh.read(16 * n), dtype="<f8")

@@ -52,6 +52,17 @@ def test_gen_missing_config_file_exit_2(tmp_path, capsys):
     assert "must hold a JSON object" in capsys.readouterr().err
 
 
+def test_config_file_unreadable_exit_2(tmp_path, capsys):
+    # a directory, and bytes that are not UTF-8
+    binary = tmp_path / "cfg.json"
+    binary.write_bytes(b'\xff\xfe{"n": 64}')
+    out = tmp_path / "out"
+    for cfg in (tmp_path, binary):
+        assert run_cli("gen", "--config", str(cfg), "--out", str(out)) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_spectral_deterministic(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -162,7 +173,16 @@ def test_converge_empty_kappas_exit_2(capsys):
     assert run_cli("converge", "kappas=") == 2
 
 
-# input the library rejects while a command sets up, before any solve
+def _text(content):
+    return lambda path: path.write_text(content)
+
+
+def _short_signal(path):
+    hankelx.save_signal(path, hankelx.reweight(np.ones(10), hankelx.HankelShape.square(10)))
+
+
+# input the library rejects while a command sets up, before any solve; a
+# trailing dict rewrites files of the generated input directory first
 @pytest.mark.parametrize("args, named", [
     (["gen", "kind=spectral", "n=64", "r=2", "m=100"], "cannot draw 100 distinct"),
     (["gen", "kind=spectral", "n=64", "r=2", "alpha=1.5"], "alpha must lie in [0, 1], got 1.5"),
@@ -180,14 +200,30 @@ def test_converge_empty_kappas_exit_2(capsys):
     (["doa", "n=1"], "rank 3 not in [1, 1]"),
     (["recover", "input={gen}", "tol_residual=nan"], "tol_residual must be finite and >= 0"),
     (["recover", "input={gen}", "bound=inf"], "incoherence_bound must be finite and positive"),
+    (["recover", "input={gen}", {"pattern.csv": _text("index\n1\n\n2\n")}],
+     "pattern.csv index must be an integer, got ''"),
+    (["recover", "input={gen}", {"meta.json": _text("[2]")}], "meta.json must hold a JSON object"),
+    (["recover", "input={gen}", {"meta.json": _text('{"r": 2.5}')}],
+     "r must be an integer, got 2.5"),
+    (["recover", "input={gen}", {"meta.json": _text('{"r": 2, "alpha": "high"}')}],
+     "bad value for 'alpha'"),
+    (["recover", "input={gen}", {"signal.hnkz": _short_signal}],
+     "signal.hnkz length 10 != observed 64"),
+    (["recover", "input={gen}", {"signal.hnkz": lambda p: p.write_bytes(p.read_bytes()[:12])}],
+     "signal.hnkz: truncated header"),
 ], ids=["gen-m", "gen-alpha", "doa-p", "phase-m", "phase-r", "phase-eta", "phase-trials",
         "converge-eta", "converge-trials", "recover-r", "doa-n", "recover-tol-nan",
-        "recover-bound-inf"])
+        "recover-bound-inf", "recover-pattern-blank-line", "recover-meta-not-object",
+        "recover-meta-r", "recover-meta-alpha", "recover-truth-length",
+        "recover-truth-truncated"])
 def test_setup_rejection_exit_2(tmp_path, capsys, args, named):
     if "input={gen}" in args:
         data = tmp_path / "gen"
         assert run_cli("gen", "--out", str(data), "kind=spectral", "n=64", "r=2") == 0
-        args = [f"input={data}" if a == "input={gen}" else a for a in args]
+        edits = args[-1] if isinstance(args[-1], dict) else {}
+        for name, edit in edits.items():
+            edit(data / name)
+        args = [f"input={data}" if a == "input={gen}" else a for a in args if a is not edits]
     out = tmp_path / "out"
     assert run_cli(*args, "--out", str(out)) == 2
     assert named in capsys.readouterr().err

@@ -36,37 +36,41 @@ def test_dense_product_identities(rng):
     assert rel_err(M @ B, matmul_naive(M, B)) <= 1e-13
 
 
+def gram(A):
+    return A.conj().T @ A
+
+
 def test_inverse_examples(rng):
     np.testing.assert_allclose(gram_inverse(np.eye(3)), np.eye(3), atol=1e-14)
-    D = np.diag(np.sqrt([2.0, 4.0]))
+    D = np.diag([2.0, 4.0])
     np.testing.assert_allclose(gram_inverse(D), np.diag([0.5, 0.25]), atol=1e-14)
     A = rand_complex(rng, 9, 6)
-    assert rel_err((A.conj().T @ A) @ gram_inverse(A), np.eye(6)) <= 1e-10
+    assert rel_err(gram(A) @ gram_inverse(gram(A)), np.eye(6)) <= 1e-10
 
 
 def test_inverse_degenerate(rng):
     A = rand_complex(rng, 8, 3)
     A[:, 2] = A[:, 1]  # rank-collapsed factor
     with pytest.raises(DegenerateGramError, match="degenerate factor Gram matrix"):
-        gram_inverse(A)
+        gram_inverse(gram(A))
     with pytest.raises(DegenerateGramError, match="zero or non-finite"):
-        gram_inverse(np.zeros((8, 3), dtype=complex))
+        gram_inverse(np.zeros((3, 3), dtype=complex))
 
 
 def test_inverse_nonfinite_and_overflowing_gram_quietly():
-    # a factor with a non-finite entry is refused without a warning, and one
-    # whose Gram has 1e160 entries is inverted without one
+    # a non-finite Gram is refused without a warning, and one with 1e160
+    # entries is inverted without one
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DegenerateGramError, match="non-finite"):
             gram_inverse(np.diag([np.nan, 1.0, 1.0]).astype(complex))
         A = 1e80 * np.diag(np.sqrt([3.0, 2.0, 1.0])).astype(complex)
-        np.testing.assert_allclose(gram_inverse(A), np.diag([1 / 3, 1 / 2, 1.0]) * 1e-160)
-    # finite entries whose Gram overflows to inf
+        np.testing.assert_allclose(gram_inverse(gram(A)), np.diag([1 / 3, 1 / 2, 1.0]) * 1e-160)
+    # a factor with finite entries whose Gram overflows to inf
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
         DegenerateGramError, match="non-finite"
     ):
-        gram_inverse(1e200 * np.ones((4, 3), dtype=complex))
+        gram_inverse(gram(1e200 * np.ones((4, 3), dtype=complex)))
 
 
 def test_residual_bounds_over_many_seeds():
@@ -75,7 +79,7 @@ def test_residual_bounds_over_many_seeds():
         rng = np.random.default_rng(seed)
         r = int(rng.integers(2, 9))
         A = np.vstack([rand_complex(rng, r, r), np.eye(r)])  # Gram B^H B + I, safely invertible
-        assert rel_err((A.conj().T @ A) @ gram_inverse(A), np.eye(r)) <= 1e-8
+        assert rel_err(gram(A) @ gram_inverse(gram(A)), np.eye(r)) <= 1e-8
 
 
 def test_truncated_svd_rank_one_hankel():
@@ -104,7 +108,7 @@ def test_truncated_svd_rank_one_hankel():
 def test_truncated_svd_zero_operator():
     mv = lambda V: np.zeros((12, V.shape[1]), dtype=complex)
     rmv = lambda U: np.zeros((10, U.shape[1]), dtype=complex)
-    tsvd = truncated_svd(mv, rmv, 12, 10, rank=3, oversample=4, seed=0)
+    tsvd = truncated_svd(mv, rmv, 12, 10, rank=3, seed=0)
     np.testing.assert_array_equal(tsvd.S, np.zeros(3))
     assert rel_err(tsvd.U.conj().T @ tsvd.U, np.eye(3)) <= 1e-10
     np.testing.assert_array_equal(tsvd.V, np.zeros((10, 3)))  # zero where S is zero
@@ -140,8 +144,15 @@ def test_truncated_svd_seed_deterministic(rng):
     np.testing.assert_array_equal(a.V, b.V)
 
 
-def test_truncated_svd_width_guard():
-    mv = lambda V: np.zeros((6, V.shape[1]), dtype=complex)
-    rmv = lambda U: np.zeros((5, U.shape[1]), dtype=complex)
-    with pytest.raises(ValueError):
-        truncated_svd(mv, rmv, 6, 5, rank=3, oversample=10, seed=0)
+@pytest.mark.parametrize("rank", [5, 4])
+def test_truncated_svd_at_width_clamp(rng, rank):
+    # at rank min(n1, n2) and one below, the block is min(n1, n2) wide, so the
+    # oversampling left is 0 and 1
+    U0, _ = np.linalg.qr(rand_complex(rng, 7, rank))
+    V0, _ = np.linalg.qr(rand_complex(rng, 5, rank))
+    A = (U0 * np.geomspace(4.0, 0.5, rank)) @ V0.conj().T
+    mv, rmv = dense_operator(A)
+    tsvd = truncated_svd(mv, rmv, 7, 5, rank=rank, seed=2)
+    s_ref = np.linalg.svd(A, compute_uv=False)[:rank]
+    assert np.max(np.abs(tsvd.S - s_ref) / s_ref) <= 1e-10
+    assert rel_err((tsvd.U * tsvd.S) @ tsvd.V.conj().T, A) <= 1e-10

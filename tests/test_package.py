@@ -1,0 +1,28 @@
+import re
+import types
+from pathlib import Path
+
+import hankelx
+from hankelx import hankel, linalg, recovery, sampling, signals
+
+MODULES = (hankel, linalg, recovery, sampling, signals)
+
+
+def test_package_exports_exactly_the_module_lists():
+    names = [name for mod in MODULES for name in mod.__all__]
+    assert len(names) == len(set(names))  # one definition per name
+    public = {
+        name for name, value in vars(hankelx).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(names)
+    for mod in MODULES:
+        for name in mod.__all__:
+            assert getattr(hankelx, name) is getattr(mod, name)
+
+
+def test_readme_quick_start_import_resolves():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library quick start\n+```python\n(.*?)```", readme, re.S).group(1)
+    line = re.search(r"^from hankelx import \(.*?\)$", block, re.M | re.S).group(0)
+    exec(line, {})

@@ -126,10 +126,10 @@ def test_keep_count_clamps():
 
 
 def test_sparse_estimate_guards():
-    with pytest.raises(ValueError):
-        SparseEstimate(np.array([1.0, 0.0]), np.array([1]))
     est = SparseEstimate(np.array([0.0, 2.0]))
     np.testing.assert_array_equal(est.support, [1])
+    est.s[0] = 3.0  # the support follows the values
+    np.testing.assert_array_equal(est.support, [0, 1])
 
 
 @pytest.mark.parametrize("trial", range(100))

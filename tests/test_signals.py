@@ -172,3 +172,11 @@ def test_signal_binary_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ValueError, match="magic"):
         load_signal(path)
+
+
+def test_signal_binary_truncated_header(tmp_path):
+    path = tmp_path / "short.hnkz"
+    save_signal(path, spectral_signal(16, 1, 1.0, seed=0)[0])
+    path.write_bytes(path.read_bytes()[:19])  # one byte short of the 20-byte header
+    with pytest.raises(ValueError, match="short.hnkz: truncated header"):
+        load_signal(path)
