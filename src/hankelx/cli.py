@@ -34,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .hankel import HankelShape, WeightedSignal
+from .linalg import DegenerateGramError
 from .recovery import RecoveryConfig, RecoveryReport, run_hsnld, run_plain_gd
 from .sampling import WITHOUT_REPLACEMENT, ObservationPattern, sample_pattern
 from .signals import (
@@ -434,6 +435,8 @@ def cmd_converge(params: dict, seed: int, out: Path) -> int:
     kappas = params["kappas"]
     if not kappas:
         raise ConfigError("converge needs a nonempty kappas list")
+    if not params["solvers"]:
+        raise ConfigError("converge needs a nonempty solvers list")
     runners = [(solver, _runner(solver)) for solver in params["solvers"]]
     n = params["n"]
     m = math.ceil(params["p"] * n)
@@ -497,6 +500,11 @@ def _phase_axes(params: dict):
 
 
 def _phase_trial(params, seed, x_axis, y_axis, x, y, trial):
+    """(success, termination, iterations, err) of one grid trial.
+
+    A solve that raises is no success: ``degenerate_gram`` when a factor Gram
+    collapsed, ``error`` otherwise, at the iteration it names (-1 if none).
+    """
     cell = {"m": params["m"] or params["n"], "alpha": params["alpha"], "r": params["r"]}
     cell[x_axis] = x
     cell[y_axis] = y
@@ -511,23 +519,35 @@ def _phase_trial(params, seed, x_axis, y_axis, x, y, trial):
     config = _solver_config(params, sig.shape, rank, alpha, trial_seed)
     try:
         report = run_hsnld(f_obs, pattern, sig.shape, config, ground_truth=sig.z)
-    except (ValueError, RuntimeError):
-        return False
-    return _trial_success(report)
+    except (ValueError, RuntimeError) as exc:
+        cause = "degenerate_gram" if isinstance(exc.__cause__, DegenerateGramError) else "error"
+        return False, cause, getattr(exc, "iteration", -1), math.nan
+    return _trial_success(report), report.termination, report.iterations, report.final_error
 
 
 def cmd_phase(params: dict, seed: int, out: Path) -> int:
+    """``phase.csv``, successes per cell, and ``trials.csv``, one outcome per trial."""
     (x_axis, x_values), (y_axis, y_values) = _phase_axes(params)
     trials = params["trials"]
-    rows = []
+    rows, trial_rows = [], []
     for x in x_values:
         for y in y_values:
-            successes = sum(
-                _phase_trial(params, seed, x_axis, y_axis, x, y, t) for t in range(trials)
-            )
-            rows.append([_fmt(float(x)), _fmt(float(y)), successes, trials])
+            cell = [_fmt(float(x)), _fmt(float(y))]
+            successes = 0
+            for t in range(trials):
+                success, termination, iterations, err = _phase_trial(
+                    params, seed, x_axis, y_axis, x, y, t
+                )
+                successes += success
+                trial_rows.append([*cell, t, termination, iterations, _fmt(float(err))])
+            rows.append([*cell, successes, trials])
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "phase.csv", [x_axis, y_axis, "successes", "trials"], rows)
+    _write_csv(
+        out / "trials.csv",
+        [x_axis, y_axis, "trial", "termination", "iterations", "err"],
+        trial_rows,
+    )
     return 0
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -9,7 +10,10 @@ import numpy as np
 import pytest
 
 import hankelx
+from hankelx import cli
 from hankelx.cli import derive_seed, main
+from hankelx.linalg import DegenerateGramError
+from hankelx.recovery import SolverError
 from hankelx.signals import condition_number, load_signal
 
 
@@ -196,6 +200,8 @@ def _short_signal(path):
      "trials must be >= 1, got 0"),
     (["converge", "n=64", "r=2", "kappas=1", "eta=2"], "eta must lie in [0, 1], got 2.0"),
     (["converge", "n=64", "r=2", "kappas=1", "trials=0"], "trials must be >= 1, got 0"),
+    (["converge", "n=64", "r=2", "kappas=1", "solvers="],
+     "converge needs a nonempty solvers list"),
     (["recover", "input={gen}", "r=100"], "rank 100 not in [1, 32]"),
     (["doa", "n=1"], "rank 3 not in [1, 1]"),
     (["recover", "input={gen}", "tol_residual=nan"], "tol_residual must be finite and >= 0"),
@@ -212,9 +218,9 @@ def _short_signal(path):
     (["recover", "input={gen}", {"signal.hnkz": lambda p: p.write_bytes(p.read_bytes()[:12])}],
      "signal.hnkz: truncated header"),
 ], ids=["gen-m", "gen-alpha", "doa-p", "phase-m", "phase-r", "phase-eta", "phase-trials",
-        "converge-eta", "converge-trials", "recover-r", "doa-n", "recover-tol-nan",
-        "recover-bound-inf", "recover-pattern-blank-line", "recover-meta-not-object",
-        "recover-meta-r", "recover-meta-alpha", "recover-truth-length",
+        "converge-eta", "converge-trials", "converge-solvers", "recover-r", "doa-n",
+        "recover-tol-nan", "recover-bound-inf", "recover-pattern-blank-line",
+        "recover-meta-not-object", "recover-meta-r", "recover-meta-alpha", "recover-truth-length",
         "recover-truth-truncated"])
 def test_setup_rejection_exit_2(tmp_path, capsys, args, named):
     if "input={gen}" in args:
@@ -238,6 +244,49 @@ def test_phase_single_cell(tmp_path):
     assert lines[0] == "m,alpha,successes,trials"
     assert lines[1] == "64.0,0.0,3,3"
     assert len(lines) == 2
+
+
+def _read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_phase_trials_csv_adds_up_to_phase_csv(tmp_path):
+    args = ["phase", "--seed", "3", "n=125", "r=10", "kappa=10", "m_values=30,125",
+            "alpha_values=0,0.3", "trials=2", "max_iters=150"]
+    out1 = tmp_path / "a"
+    out2 = tmp_path / "b"
+    assert run_cli(*args, "--out", str(out1)) == 0
+    assert run_cli(*args, "--out", str(out2)) == 0
+    assert (out1 / "trials.csv").read_bytes() == (out2 / "trials.csv").read_bytes()
+    header, *rows = _read_rows(out1 / "trials.csv")
+    assert header == ["m", "alpha", "trial", "termination", "iterations", "err"]
+    # one row per trial, in grid order
+    assert [row[:3] for row in rows] == [
+        [m, a, str(t)] for m in ("30.0", "125.0") for a in ("0.0", "0.3") for t in range(2)
+    ]
+    assert {row[3] for row in rows} == {"clipped", "max_iters", "residual_tol"}
+    successes = {}
+    for m, a, _, termination, _, err in rows:
+        won = termination == "residual_tol" and float(err) <= cli.SUCCESS_ERROR_TOL
+        successes[m, a] = successes.get((m, a), 0) + won
+    phase = _read_rows(out1 / "phase.csv")[1:]
+    assert [[m, a, str(successes[m, a]), "2"] for m, a in successes] == phase
+
+
+def test_phase_names_a_degenerate_gram(tmp_path, monkeypatch):
+    def collapsing(*args, **kwargs):
+        try:
+            raise DegenerateGramError("degenerate factor Gram matrix")
+        except DegenerateGramError as exc:
+            raise SolverError(str(exc), 7) from exc
+
+    monkeypatch.setattr(cli, "run_hsnld", collapsing)
+    out = tmp_path / "phase"
+    assert run_cli("phase", "--out", str(out), "n=64", "r=2", "m_values=64",
+                   "alpha_values=0", "trials=1") == 0
+    assert (out / "phase.csv").read_text().splitlines()[1] == "64.0,0.0,0,1"
+    assert (out / "trials.csv").read_text().splitlines()[1] == "64.0,0.0,0,degenerate_gram,7,nan"
 
 
 def test_phase_requires_two_axes(capsys):

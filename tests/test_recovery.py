@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -87,10 +88,12 @@ def test_project_incoherence_identity_within_bound(rng):
     out = project_incoherence(L, R, big)
     # an unclipped side is the input array itself, with its Gram handed on
     assert out.L is L and out.R is R
+    assert out.clipped_rows == 0
     np.testing.assert_array_equal(out.gram_l, L.conj().T @ L)
     np.testing.assert_array_equal(out.gram_r, R.conj().T @ R)
     # a clipped side is a scaled copy and hands on no Gram
     row_l = np.sqrt(np.einsum("ij,ij->i", L @ (R.conj().T @ R), L.conj()).real)
+    row_r = np.sqrt(np.einsum("ij,ij->i", R @ (L.conj().T @ L), R.conj()).real)
     bound = 0.999 * row_l.max()
     L_in = L.copy()
     out = project_incoherence(L, R, bound)
@@ -98,6 +101,11 @@ def test_project_incoherence_identity_within_bound(rng):
     np.testing.assert_array_equal(L, L_in)
     scale = np.where(row_l > bound, bound / row_l, 1.0)
     np.testing.assert_array_equal(out.L, scale[:, None] * L)
+    # clipped_rows counts the rows over the bound on both sides
+    for bound in (bound, np.median(row_l), np.median(np.concatenate([row_l, row_r]))):
+        over = np.count_nonzero(row_l > bound) + np.count_nonzero(row_r > bound)
+        assert over > 0
+        assert project_incoherence(L, R, bound).clipped_rows == over
 
 
 def test_project_incoherence_scalar_case():
@@ -498,6 +506,44 @@ def test_run_hsnld_degenerate_gram_raises():
     config = RecoveryConfig(rank=2, alpha=0.0, max_iters=10, tol_residual=1e-16)
     with pytest.raises(SolverError):
         run_hsnld(f_obs, pattern, sig.shape, config)
+
+
+def _clipping_instance():
+    # 30 samples of an n=125, r=10 signal: too few to recover it, and the
+    # iterates press on the estimated incoherence ball
+    sig, pattern, f_obs, _ = make_instance(125, 10, 10.0, 30, 0.0, 35)
+    return sig, pattern, f_obs, RecoveryConfig(rank=10, alpha=0.0)
+
+
+def test_run_hsnld_stops_on_estimated_ball_clipping():
+    sig, pattern, f_obs, config = _clipping_instance()
+    report = run_hsnld(f_obs, pattern, sig.shape, config, ground_truth=sig.z)
+    assert report.termination == "clipped"
+    assert report.iterations < config.max_iters // 10
+    # the stop is at the first run of CLIP_STOP_ITERS clipped iterates, the
+    # initialization's projection counting as iterate 0
+    init = spectral_init(f_obs, pattern, sig.shape, 10, 0.0, seed=config.seed)
+    state = _refresh(init.factors, f_obs, pattern, sig.shape, config, 0,
+                     init.incoherence_bound)
+    clipped = [state.factors.clipped_rows > 0]
+    for _ in range(report.iterations):
+        state = hsnld_step(state, f_obs, pattern, sig.shape, config)
+        clipped.append(state.factors.clipped_rows > 0)
+    window = recovery.CLIP_STOP_ITERS
+    full = [i for i in range(window - 1, len(clipped)) if all(clipped[i + 1 - window:i + 1])]
+    assert full == [report.iterations]
+
+
+def test_explicit_bound_never_stops_on_clipping():
+    # the caller's radius is a constraint, not an estimate around the truth
+    sig, pattern, f_obs, config = _clipping_instance()
+    auto = run_hsnld(f_obs, pattern, sig.shape, config, ground_truth=sig.z)
+    fixed = run_hsnld(f_obs, pattern, sig.shape,
+                      replace(config, incoherence_bound=auto.incoherence_bound),
+                      ground_truth=sig.z)
+    np.testing.assert_array_equal(fixed.residuals()[:len(auto.records)], auto.residuals())
+    assert fixed.termination == "max_iters"
+    assert fixed.factors.clipped_rows > 0
 
 
 def test_run_plain_gd_matches_on_well_conditioned():
