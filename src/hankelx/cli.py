@@ -14,6 +14,9 @@ separators, JSON with a stable key order) is a pure function of the seed and
 configuration: grid trials derive per-cell seeds by hashing and run in order
 on the calling thread.  ``--threads N`` is accepted for compatibility and
 checked (N >= 1); it does not change how or what a command computes.
+``phase`` and ``converge`` run each synthetic trial through one function and
+write ``trials.csv``, one named outcome per trial.  A summary's ``seconds`` is
+the solver's own clock, the one behind the trace's ``ms`` column.
 
 Exit codes: 0 command completed and wrote its report, 1 solver error, 2 usage
 or configuration error, including input the library rejects before any solve
@@ -27,7 +30,6 @@ import hashlib
 import json
 import math
 import sys
-import time
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -218,30 +220,23 @@ def _write_json(path: Path, payload: dict):
 
 
 def _write_csv(path: Path, header: list[str], rows):
+    """CSV with LF endings; csv writes each float by repr, so it reads back exactly."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return repr(value)
-    return str(value)
-
-
-def _write_run(
-    out: Path, report: RecoveryReport, seconds: float, config: dict, success: bool, **iters
-):
+def _write_run(out: Path, report: RecoveryReport, config: dict, success: bool, **iters):
     """``summary.json`` and ``trace.csv`` of one solve.
 
     The summary's ``err`` is the final error, or null when it is not finite:
-    unknown without ground truth, or overflowed by a diverging solve.
+    unknown without ground truth, or overflowed by a diverging solve.  Its
+    ``seconds`` is the solver's own clock at the last record, the clock of the
+    trace's ``ms`` column.
     """
     err = report.final_error
+    seconds = report.records[-1].seconds
     out.mkdir(parents=True, exist_ok=True)
     head = {"success": success, "err": err if math.isfinite(err) else None, **iters}
     _write_json(
@@ -251,8 +246,7 @@ def _write_run(
     _write_csv(
         out / "trace.csv",
         ["iter", "residual", "err", "ms"],
-        ([r.iteration, _fmt(r.residual), _fmt(r.error), _fmt(r.seconds * 1000.0)]
-         for r in report.records),
+        ([r.iteration, r.residual, r.error, r.seconds * 1000.0] for r in report.records),
     )
 
 
@@ -283,11 +277,11 @@ def _observe(sig, m, mode, alpha, magnitude_scale, seed):
     return pattern, f_obs, s_true
 
 
-def _make_instance(n, r, kappa, m, alpha, magnitude_scale, seed):
-    """Deterministic synthetic instance (without-replacement sampling) from one seed."""
-    with _rejected_input():
-        sig, _ = spectral_signal(n, r, kappa, seed=derive_seed(seed, "signal"))
-    return (sig, *_observe(sig, m, WITHOUT_REPLACEMENT, alpha, magnitude_scale, seed))
+def _sample_count(p: float, n: int) -> int:
+    """Entries observed at sampling rate ``p`` of ``n``: ceil(p * n)."""
+    if not math.isfinite(p):
+        raise ConfigError(f"p must be finite, got {p}")
+    return math.ceil(p * n)
 
 
 def _solver_config(
@@ -310,12 +304,26 @@ def _solver_config(
     return config
 
 
-def _trial_success(report: RecoveryReport) -> bool:
-    return (
-        report.termination == "residual_tol"
-        and np.isfinite(report.final_error)
-        and report.final_error <= SUCCESS_ERROR_TOL
+def _trial(params, runner, trial_seed, rank, kappa, m, alpha):
+    """One synthetic solve built from ``trial_seed``, and its named outcome.
+
+    Returns the report, or the exception the solve raised, and (termination,
+    iterations, err).  Bad instance or solver input raises ConfigError.  A
+    raising solve is named ``degenerate_gram`` when a factor Gram collapsed and
+    ``error`` otherwise, at the iteration it names (-1 if none), with err nan.
+    """
+    with _rejected_input():
+        sig, _ = spectral_signal(params["n"], rank, kappa, seed=derive_seed(trial_seed, "signal"))
+    pattern, f_obs, _ = _observe(
+        sig, m, WITHOUT_REPLACEMENT, alpha, params["magnitude_scale"], trial_seed
     )
+    config = _solver_config(params, sig.shape, rank, alpha, trial_seed)
+    try:
+        report = runner(f_obs, pattern, sig.shape, config, ground_truth=sig.z)
+    except (ValueError, RuntimeError) as exc:
+        cause = "degenerate_gram" if isinstance(exc.__cause__, DegenerateGramError) else "error"
+        return exc, (cause, getattr(exc, "iteration", -1), math.nan)
+    return report, (report.termination, report.iterations, report.final_error)
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +347,9 @@ def cmd_gen(params: dict, seed: int, out: Path) -> int:
             sig = doa_signal(n, params["thetas"], params["gains"])
             r = len(params["thetas"])
 
-    m = params["m"]
-    if m <= 0:
-        m = math.ceil(params["p"] * n) if params["p"] > 0 else n
+    m = params["m"] if params["m"] > 0 else _sample_count(params["p"], n)
+    if m <= 0:  # neither m nor a positive p given: observe every entry
+        m = n
     alpha = params["alpha"]
     scale = params["magnitude_scale"]
     if scale < 0:
@@ -411,7 +419,6 @@ def cmd_recover(params: dict, seed: int, out: Path) -> int:
         alpha = _apply_schema("recover", {"alpha": meta.get("alpha", 0.0)})["alpha"]
     runner = _runner(params["solver"])
     config = _solver_config(params, observed.shape, rank, alpha, seed, bound=params["bound"])
-    start = time.perf_counter()
     report = runner(
         observed.z,
         pattern,
@@ -419,71 +426,57 @@ def cmd_recover(params: dict, seed: int, out: Path) -> int:
         config,
         ground_truth=None if truth is None else truth.z,
     )
-    seconds = time.perf_counter() - start
-    success = _trial_success(report) if truth is not None else (
-        report.termination == "residual_tol"
+    # without ground truth, success is reaching the residual tolerance
+    success = report.termination == "residual_tol" and (
+        truth is None or report.final_error <= SUCCESS_ERROR_TOL
     )
     _write_run(
-        out, report, seconds, {**params, "rank": rank, "alpha": alpha, "seed": seed},
-        success=bool(success),
+        out, report, {**params, "rank": rank, "alpha": alpha, "seed": seed},
+        success=success,
         iters=report.iterations,
     )
     return 0
 
 
 def cmd_converge(params: dict, seed: int, out: Path) -> int:
+    """``converge.csv``, each cell's mean trace or first failure, and ``trials.csv``."""
     kappas = params["kappas"]
     if not kappas:
         raise ConfigError("converge needs a nonempty kappas list")
     if not params["solvers"]:
         raise ConfigError("converge needs a nonempty solvers list")
     runners = [(solver, _runner(solver)) for solver in params["solvers"]]
-    n = params["n"]
-    m = math.ceil(params["p"] * n)
-    rows = []
+    m = _sample_count(params["p"], params["n"])
+    rows, trial_rows = [], []
     for kappa in kappas:
         for solver, runner in runners:
-            traces = []
-            status = "ok"
-            try:
-                for t in range(params["trials"]):
-                    cell_seed = derive_seed(seed, "converge", kappa, t)
-                    sig, pattern, f_obs, _ = _make_instance(
-                        n, params["r"], kappa, m, params["alpha"],
-                        params["magnitude_scale"], cell_seed,
-                    )
-                    config = _solver_config(
-                        params, sig.shape, params["r"], params["alpha"], cell_seed
-                    )
-                    traces.append(runner(f_obs, pattern, sig.shape, config, ground_truth=sig.z))
-            except (RuntimeError, ValueError) as exc:
-                status = f"error: {exc}"
-                rows.append([solver, _fmt(kappa), -1, "nan", "nan", "nan", status])
-                continue
-            depth = max(len(rep.records) for rep in traces)
-            for it in range(depth):
-                res, errs, secs = [], [], []
-                for rep in traces:
-                    rec = rep.records[min(it, len(rep.records) - 1)]
-                    res.append(rec.residual)
-                    errs.append(rec.error)
-                    secs.append(rec.seconds)
-                rows.append(
-                    [
-                        solver,
-                        _fmt(kappa),
-                        it,
-                        _fmt(float(np.mean(res))),
-                        _fmt(float(np.mean(errs))),
-                        _fmt(float(np.mean(secs))),
-                        status,
-                    ]
+            reports = []
+            for t in range(params["trials"]):
+                trial_seed = derive_seed(seed, "converge", kappa, t)
+                report, (termination, iterations, err) = _trial(
+                    params, runner, trial_seed, params["r"], kappa, m, params["alpha"]
                 )
+                reports.append(report)
+                trial_rows.append([kappa, solver, t, termination, iterations, err])
+            failed = [rep for rep in reports if isinstance(rep, Exception)]
+            if failed:
+                rows.append([solver, kappa, -1, "nan", "nan", "nan", f"error: {failed[0]}"])
+                continue
+            for it in range(max(len(rep.records) for rep in reports)):
+                recs = [rep.records[min(it, len(rep.records) - 1)] for rep in reports]
+                means = [float(np.mean([getattr(rec, field) for rec in recs]))
+                         for field in ("residual", "error", "seconds")]
+                rows.append([solver, kappa, it, *means, "ok"])
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out / "converge.csv",
         ["solver", "kappa", "iter", "residual", "err", "seconds", "status"],
         rows,
+    )
+    _write_csv(
+        out / "trials.csv",
+        ["kappa", "solver", "trial", "termination", "iterations", "err"],
+        trial_rows,
     )
     return 0
 
@@ -499,48 +492,27 @@ def _phase_axes(params: dict):
     return axes
 
 
-def _phase_trial(params, seed, x_axis, y_axis, x, y, trial):
-    """(success, termination, iterations, err) of one grid trial.
-
-    A solve that raises is no success: ``degenerate_gram`` when a factor Gram
-    collapsed, ``error`` otherwise, at the iteration it names (-1 if none).
-    """
-    cell = {"m": params["m"] or params["n"], "alpha": params["alpha"], "r": params["r"]}
-    cell[x_axis] = x
-    cell[y_axis] = y
-    n = params["n"]
-    m = int(round(cell["m"]))
-    rank = int(round(cell["r"]))
-    alpha = float(cell["alpha"])
-    trial_seed = derive_seed(seed, "phase", x_axis, x, y_axis, y, trial)
-    sig, pattern, f_obs, _ = _make_instance(
-        n, rank, params["kappa"], m, alpha, params["magnitude_scale"], trial_seed
-    )
-    config = _solver_config(params, sig.shape, rank, alpha, trial_seed)
-    try:
-        report = run_hsnld(f_obs, pattern, sig.shape, config, ground_truth=sig.z)
-    except (ValueError, RuntimeError) as exc:
-        cause = "degenerate_gram" if isinstance(exc.__cause__, DegenerateGramError) else "error"
-        return False, cause, getattr(exc, "iteration", -1), math.nan
-    return _trial_success(report), report.termination, report.iterations, report.final_error
-
-
 def cmd_phase(params: dict, seed: int, out: Path) -> int:
     """``phase.csv``, successes per cell, and ``trials.csv``, one outcome per trial."""
     (x_axis, x_values), (y_axis, y_values) = _phase_axes(params)
+    runner = _runner("hsnld")
     trials = params["trials"]
     rows, trial_rows = [], []
     for x in x_values:
         for y in y_values:
-            cell = [_fmt(float(x)), _fmt(float(y))]
+            cell = {"m": params["m"] or params["n"], "alpha": params["alpha"], "r": params["r"],
+                    x_axis: x, y_axis: y}
             successes = 0
             for t in range(trials):
-                success, termination, iterations, err = _phase_trial(
-                    params, seed, x_axis, y_axis, x, y, t
+                _, (termination, iterations, err) = _trial(
+                    params, runner, derive_seed(seed, "phase", x_axis, x, y_axis, y, t),
+                    int(round(cell["r"])), params["kappa"], int(round(cell["m"])),
+                    float(cell["alpha"]),
                 )
-                successes += success
-                trial_rows.append([*cell, t, termination, iterations, _fmt(float(err))])
-            rows.append([*cell, successes, trials])
+                # a success ends at the residual tolerance within SUCCESS_ERROR_TOL of the truth
+                successes += termination == "residual_tol" and err <= SUCCESS_ERROR_TOL
+                trial_rows.append([x, y, t, termination, iterations, err])
+            rows.append([x, y, successes, trials])
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "phase.csv", [x_axis, y_axis, "successes", "trials"], rows)
     _write_csv(
@@ -557,19 +529,17 @@ def cmd_doa(params: dict, seed: int, out: Path) -> int:
     rank = params["r"] or len(thetas)
     with _rejected_input():
         sig = doa_signal(n, thetas)
-    m = math.ceil(params["p"] * n)
+    m = _sample_count(params["p"], n)
     pattern, f_obs, _ = _observe(
         sig, m, WITHOUT_REPLACEMENT, params["alpha"], params["magnitude_scale"], seed
     )
     config = _solver_config(params, sig.shape, rank, params["alpha"], seed)
-    start = time.perf_counter()
     report = run_hsnld(f_obs, pattern, sig.shape, config, ground_truth=sig.z)
-    seconds = time.perf_counter() - start
     errors = report.errors()
     hits = np.flatnonzero(errors <= params["error_tol"])
     reached = int(hits[0]) if hits.size else -1
     _write_run(
-        out, report, seconds, {**params, "rank": rank, "m": m, "seed": seed},
+        out, report, {**params, "rank": rank, "m": m, "seed": seed},
         success=bool(reached >= 0),
         iters=reached,
         iters_run=report.iterations,

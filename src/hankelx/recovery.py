@@ -163,10 +163,8 @@ class RecoveryReport:
 
     records: list[IterationRecord]
     signal: WeightedSignal
-    outliers: SparseEstimate
     factors: Factors
     termination: str
-    top_singular_value: float
     incoherence_bound: float
 
     @property
@@ -440,10 +438,8 @@ def _run(
     return RecoveryReport(
         records=records,
         signal=state.z,
-        outliers=state.s,
         factors=state.factors,
         termination=termination,
-        top_singular_value=sigma1,
         incoherence_bound=bound,
     )
 

@@ -64,6 +64,8 @@ class OutlierSpec:
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0 + 1e-12:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+        if not math.isfinite(self.magnitude_scale):
+            raise ValueError(f"magnitude_scale must be finite, got {self.magnitude_scale}")
 
 
 def _min_wraparound_gap(freqs: np.ndarray) -> float:
@@ -82,20 +84,22 @@ def spectral_signal(
 
     Frequencies are drawn uniformly on [0, 1) and redrawn until all pairwise
     wrap-around separations are at least 1/n, which keeps the embedded Hankel
-    matrix at exact rank r.  Ill-conditioning comes from the amplitude spread.
+    matrix at exact rank r; ValueError if 10,000 draws find no such set.
+    Ill-conditioning comes from the amplitude spread.
     """
     shape = HankelShape.square(n)
     if r < 1 or r > min(shape.n1, shape.n2):
         raise ValueError(f"rank {r} not in [1, {min(shape.n1, shape.n2)}]")
-    if kappa < 1:
-        raise ValueError(f"kappa must be >= 1, got {kappa}")
+    # an infinite kappa would give the weakest tone amplitude 0 and drop a rank
+    if not (math.isfinite(kappa) and kappa >= 1):
+        raise ValueError(f"kappa must be finite and >= 1, got {kappa}")
     rng = np.random.default_rng(seed)
     for _ in range(_REJECTION_CAP):
         freqs = rng.uniform(0.0, 1.0, size=r)
         if _min_wraparound_gap(freqs) >= 1.0 / n:
             break
     else:
-        raise RuntimeError("could not draw separated frequencies")
+        raise ValueError(f"could not draw {r} frequencies 1/{n} apart for n={n}, r={r}")
     if r == 1:
         amps = np.array([1.0])
     else:
@@ -118,6 +122,8 @@ def doa_signal(n: int, thetas_deg, gains=None) -> WeightedSignal:
     gains = np.atleast_1d(np.asarray(gains, dtype=np.complex128))
     if thetas.size != gains.size or thetas.size < 1:
         raise ValueError("thetas and gains must have equal positive length")
+    if not (np.isfinite(thetas).all() and np.isfinite(gains).all()):
+        raise ValueError("thetas and gains must be finite")
     j = np.arange(n)
     phases = -1j * np.pi * np.outer(j, np.sin(np.deg2rad(thetas)))
     x = (np.exp(phases) * gains[None, :]).sum(axis=1)

@@ -173,6 +173,53 @@ def test_converge_small_grid(tmp_path):
     assert any(line.startswith("plaingd,5.0,") for line in lines[1:])
 
 
+def _collapsing_hsnld(*args, **kwargs):
+    try:
+        raise DegenerateGramError("degenerate factor Gram matrix")
+    except DegenerateGramError as exc:
+        raise SolverError(str(exc), 7) from exc
+
+
+def test_converge_trials_csv_names_a_degenerate_gram(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "run_hsnld", _collapsing_hsnld)
+    args = ["converge", "--seed", "4", "n=64", "r=2", "kappas=1,2", "trials=2", "max_iters=50"]
+    out1 = tmp_path / "a"
+    out2 = tmp_path / "b"
+    assert run_cli(*args, "--out", str(out1)) == 0
+    assert run_cli(*args, "--out", str(out2)) == 0
+    assert (out1 / "trials.csv").read_bytes() == (out2 / "trials.csv").read_bytes()
+    header, *rows = _read_rows(out1 / "trials.csv")
+    assert header == ["kappa", "solver", "trial", "termination", "iterations", "err"]
+    # one row per trial, in cell order
+    assert [row[:3] for row in rows] == [
+        [k, s, str(t)] for k in ("1.0", "2.0") for s in ("hsnld", "plaingd") for t in range(2)
+    ]
+    for kappa, solver, _, termination, iterations, err in rows:
+        if solver == "hsnld":
+            assert [termination, iterations, err] == ["degenerate_gram", "7", "nan"]
+        else:
+            assert termination != "degenerate_gram" and np.isfinite(float(err))
+    # converge.csv keeps one error row per failed cell and the trace of the others
+    lines = (out1 / "converge.csv").read_text().splitlines()
+    error = "error: degenerate factor Gram matrix (iteration 7)"
+    assert [line for line in lines if line.startswith("hsnld,")] == [
+        f"hsnld,{k},-1,nan,nan,nan,{error}" for k in ("1.0", "2.0")
+    ]
+    assert any(line.startswith("plaingd,2.0,0,") and line.endswith(",ok") for line in lines)
+
+
+def test_summary_seconds_is_the_trace_clock(tmp_path):
+    data = tmp_path / "data"
+    assert run_cli("gen", "--out", str(data), "--seed", "5",
+                   "kind=spectral", "n=255", "r=3", "kappa=2") == 0
+    for name, args in (("recover", [f"input={data}"]), ("doa", ["n=1024", "p=0.2"])):
+        out = tmp_path / name
+        assert run_cli(name, "--out", str(out), *args) == 0
+        seconds = json.loads((out / "summary.json").read_text())["seconds"]
+        last_ms = (out / "trace.csv").read_text().splitlines()[-1].split(",")[-1]
+        assert seconds * 1000.0 == float(last_ms)
+
+
 def test_converge_empty_kappas_exit_2(capsys):
     assert run_cli("converge", "kappas=") == 2
 
@@ -217,11 +264,28 @@ def _short_signal(path):
      "signal.hnkz length 10 != observed 64"),
     (["recover", "input={gen}", {"signal.hnkz": lambda p: p.write_bytes(p.read_bytes()[:12])}],
      "signal.hnkz: truncated header"),
+    (["gen", "kind=spectral", "n=64", "r=2", "kappa=nan"], "kappa must be finite and >= 1, got nan"),
+    (["gen", "kind=spectral", "n=64", "r=2", "kappa=inf"], "kappa must be finite and >= 1, got inf"),
+    (["phase", "n=64", "r=2", "kappa=nan", "m_values=64", "alpha_values=0", "trials=1"],
+     "kappa must be finite and >= 1, got nan"),
+    (["converge", "n=64", "r=2", "kappas=nan", "trials=1"], "kappa must be finite and >= 1, got nan"),
+    (["gen", "kind=spectral", "n=64", "r=2", "alpha=0.1", "magnitude_scale=inf"],
+     "magnitude_scale must be finite, got inf"),
+    (["gen", "kind=spectral", "n=64", "r=2", "alpha=0.1", "magnitude_scale=nan"],
+     "magnitude_scale must be finite, got nan"),
+    (["converge", "n=64", "r=2", "kappas=1", "trials=1", "magnitude_scale=inf"],
+     "magnitude_scale must be finite, got inf"),
+    (["doa", "n=64", "thetas=87,nan"], "thetas and gains must be finite"),
+    (["gen", "kind=spectral", "n=64", "r=2", "p=nan"], "p must be finite, got nan"),
+    (["converge", "n=64", "r=2", "kappas=1", "trials=1", "p=nan"], "p must be finite, got nan"),
+    (["gen", "kind=spectral", "n=64", "r=32"], "could not draw 32 frequencies 1/64 apart"),
 ], ids=["gen-m", "gen-alpha", "doa-p", "phase-m", "phase-r", "phase-eta", "phase-trials",
         "converge-eta", "converge-trials", "converge-solvers", "recover-r", "doa-n",
         "recover-tol-nan", "recover-bound-inf", "recover-pattern-blank-line",
         "recover-meta-not-object", "recover-meta-r", "recover-meta-alpha", "recover-truth-length",
-        "recover-truth-truncated"])
+        "recover-truth-truncated", "gen-kappa-nan", "gen-kappa-inf", "phase-kappa-nan",
+        "converge-kappa-nan", "gen-scale-inf", "gen-scale-nan", "converge-scale-inf",
+        "doa-theta-nan", "gen-p-nan", "converge-p-nan", "gen-unseparable"])
 def test_setup_rejection_exit_2(tmp_path, capsys, args, named):
     if "input={gen}" in args:
         data = tmp_path / "gen"

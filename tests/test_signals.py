@@ -57,6 +57,20 @@ def test_spectral_signal_guards():
         spectral_signal(11, 9, 2.0, seed=0)
     with pytest.raises(ValueError):
         spectral_signal(11, 2, 0.5, seed=0)
+    for kappa in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            spectral_signal(11, 2, kappa, seed=0)
+    with pytest.raises(ValueError, match="could not draw 32 frequencies"):
+        spectral_signal(64, 32, 2.0, seed=0)
+
+
+def test_non_finite_generator_input_rejected():
+    with pytest.raises(ValueError, match="thetas and gains must be finite"):
+        doa_signal(16, [87.0, float("nan")])
+    with pytest.raises(ValueError, match="thetas and gains must be finite"):
+        doa_signal(16, [87.0], gains=[complex("inf")])
+    with pytest.raises(ValueError, match="magnitude_scale must be finite"):
+        OutlierSpec(0.1, float("nan"))
 
 
 @pytest.mark.parametrize("seed", range(50))
