@@ -15,7 +15,9 @@ wraps around.  Convention: numpy's unnormalized forward DFT, 1/N on the
 inverse and on the second (forward) transform of a product.  Blocks are
 transformed as C-contiguous (k, N) rows along the last axis, one call each.
 A public block product (the spectral initialization's) holds one (k, N)
-block: its spectrum is multiplied and transformed again in place.
+block: its spectrum is multiplied and transformed again in place.  Blocks are
+written into their spectrum rows directly (conjugated there when the product
+needs it), and only the zero padding is filled.
 
 Per solver iteration this costs 4 transform calls over 4r + 2 rows: 2r + 1 to
 map the factors to a vector, and 2r + 1 for the step's two products, which
@@ -156,16 +158,21 @@ def _lowrank_spectra(L, R, shape: HankelShape):
     """:func:`lowrank_to_signal` and the (2r, N) row spectrum of L^T over R^H."""
     L = np.asarray(L, dtype=np.complex128)
     R = np.asarray(R, dtype=np.complex128)
-    if L.ndim != 2 or R.ndim != 2 or L.shape[1] != R.shape[1]:
-        raise ValueError("factors must be 2-D with matching column counts")
+    if L.ndim != 2 or R.ndim != 2 or L.shape[1] != R.shape[1] or L.shape[1] == 0:
+        raise ValueError("factors must be 2-D with matching, nonzero column counts")
     if L.shape[0] != shape.n1 or R.shape[0] != shape.n2:
         raise ValueError(
             f"factor rows ({L.shape[0]}, {R.shape[0]}) do not match shape "
             f"({shape.n1}, {shape.n2})"
         )
     r = L.shape[1]
-    spec = _row_spectrum((L, R.conj()), _fft_length(shape.n))
-    z = np.fft.ifft((spec[:r] * spec[r:]).sum(axis=0))[: shape.n]
+    spec = _row_spectrum(_fft_length(shape.n), L, R)
+    # sum over j of spec_j * spec_{r+j}, row by row: the bytes of the (r, N)
+    # product summed over axis 0, in two length-N vectors instead of that block
+    acc = spec[0] * spec[r]
+    for j in range(1, r):
+        acc += spec[j] * spec[r + j]
+    z = np.fft.ifft(acc, out=acc)[: shape.n]
     return WeightedSignal(shape, z / _sqrt_counts(shape)), spec
 
 
@@ -188,13 +195,20 @@ def hankel_matvec(sig: WeightedSignal, v) -> np.ndarray:
     return hankel_matmat(sig, v[:, None])[:, 0]
 
 
-def _row_spectrum(blocks, size: int) -> np.ndarray:
-    """FFT of the blocks' columns, zero-padded to ``size``, as rows of one block."""
-    rows = np.zeros((sum(b.shape[1] for b in blocks), size), dtype=np.complex128)
-    k = 0
-    for b in blocks:
-        rows[k : k + b.shape[1], : b.shape[0]] = b.T
-        k += b.shape[1]
+def _row_spectrum(size: int, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
+    """FFT of A's columns, then of conj(B)'s, zero-padded to ``size``, as the
+    rows of one block.  Both are written straight into the rows, B conjugated
+    on the way, and only the padding is zeroed: no conjugated copy of B and no
+    fill of the whole block."""
+    k = A.shape[1]
+    rows = np.empty((k + (0 if B is None else B.shape[1]), size), dtype=np.complex128)
+    rows[:k, : A.shape[0]] = A.T
+    rows[:k, A.shape[0] :] = 0
+    if B is not None:
+        # column by column: a 2-D strided conjugate allocates ufunc buffers
+        for j in range(B.shape[1]):
+            np.conjugate(B[:, j], out=rows[k + j, : B.shape[0]])
+        rows[k:, B.shape[0] :] = 0
     return np.fft.fft(rows, out=rows)
 
 
@@ -227,7 +241,7 @@ def _block_product(y: np.ndarray, W, rows: int) -> np.ndarray:
     W = np.asarray(W, dtype=np.complex128)
     if W.ndim != 2 or W.shape[0] != y.size - rows + 1:
         raise ValueError(f"expected {y.size - rows + 1} rows, got {W.shape}")
-    spec = _row_spectrum((W,), _fft_length(y.size))
+    spec = _row_spectrum(_fft_length(y.size), W)
     return _correlate(spec, y, out=spec)[:, :rows].T
 
 

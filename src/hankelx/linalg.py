@@ -28,14 +28,31 @@ class DegenerateGramError(RuntimeError):
 def gram_inverse(G: np.ndarray) -> np.ndarray:
     """Inverse G^{-1} of a factor's Gram matrix G = A^H A, refusing rank collapse.
 
-    The caller forms G; :func:`~hankelx.recovery.hsnld_step` passes the Grams
-    the incoherence projection formed.  A zero or non-finite G, or one whose
-    eigenvalues span a ratio below 1e-12, raises :class:`DegenerateGramError`.
+    The caller forms G.  A zero or non-finite G, or one whose eigenvalues span
+    a ratio below 1e-12, raises :class:`DegenerateGramError`.
+    It is :func:`_hermitian_eigh` followed by :func:`_inverse_from_eigh`;
+    :func:`~hankelx.recovery.hsnld_step` runs the second half alone on the
+    eigendecomposition the incoherence projection already took.
     """
-    if not (np.isfinite(G).all() and np.any(G)):
+    if not _invertible_input(G):
         raise DegenerateGramError("degenerate factor Gram matrix (zero or non-finite input)")
+    return _inverse_from_eigh(*_hermitian_eigh(G))
+
+
+def _invertible_input(G: np.ndarray) -> bool:
+    """Whether G, or every matrix of a stack, passes :func:`gram_inverse`'s
+    first check: finite and nonzero."""
+    return bool(np.isfinite(G).all() and np.any(G, axis=(-2, -1)).all())
+
+
+def _hermitian_eigh(G: np.ndarray):
+    """``eigh`` of G's Hermitian part; a stack of matrices gives each one's own bytes."""
     # eigh reads one triangle; average both, since the product's roundoff may differ
-    w, Q = np.linalg.eigh(0.5 * (G + G.conj().T))
+    return np.linalg.eigh(0.5 * (G + np.swapaxes(G.conj(), -1, -2)))
+
+
+def _inverse_from_eigh(w: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """G^{-1} from G's eigendecomposition, refusing an eigenvalue ratio below 1e-12."""
     wabs = np.abs(w)
     if wabs.min() < 1e-12 * wabs.max():
         raise DegenerateGramError("degenerate factor Gram matrix")

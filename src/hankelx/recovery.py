@@ -18,6 +18,7 @@ particular published method.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -32,7 +33,14 @@ from .hankel import (
     _lowrank_spectra,
     _sqrt_counts,
 )
-from .linalg import DegenerateGramError, gram_inverse, truncated_svd
+from .linalg import (
+    DegenerateGramError,
+    gram_inverse,
+    truncated_svd,
+    _hermitian_eigh,
+    _inverse_from_eigh,
+    _invertible_input,
+)
 from .sampling import (
     ObservationPattern,
     SparseEstimate,
@@ -88,9 +96,13 @@ class Factors:
     """Low-rank factor pair; the estimate of the embedded matrix is L @ R^H.
 
     ``gram_l`` and ``gram_r``, when set, are L^H L and R^H R as
-    :func:`project_incoherence` formed them for these very arrays.  They are
-    valid only while L and R stay unmodified.  ``clipped_rows`` is the number
-    of rows of L and R together that the projection shrank.
+    :func:`project_incoherence` formed them for these very arrays, for each
+    side it left unclipped.  ``eig_l`` and ``eig_r``, when set, are the
+    ``(w, Q)`` eigendecompositions of those Grams' Hermitian parts, taken there
+    for the row-norm screen when both Grams were finite and nonzero;
+    :func:`hsnld_step` inverts them instead of decomposing again.  All four
+    are valid only while L and R stay unmodified.  ``clipped_rows`` is the
+    number of rows of L and R together that the projection shrank.
     """
 
     L: np.ndarray
@@ -98,6 +110,8 @@ class Factors:
     gram_l: np.ndarray | None = None
     gram_r: np.ndarray | None = None
     clipped_rows: int = 0
+    eig_l: tuple[np.ndarray, np.ndarray] | None = None
+    eig_r: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         self.L = np.asarray(self.L, dtype=np.complex128)
@@ -130,23 +144,32 @@ class RecoveryConfig:
     seed: int = 0
 
     def validate(self):
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
+        # a fractional or NaN max_iters is never reached, so the solve never stops
+        for name, low in (("rank", 1), ("max_iters", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if not 0.0 <= self.alpha < 1.0 + 1e-12:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        bound = self.incoherence_bound
-        if isinstance(bound, str):
-            if bound != "auto":
-                raise ValueError(f"incoherence_bound must be 'auto' or a number, got {bound!r}")
-        elif not (math.isfinite(bound) and bound > 0):
-            raise ValueError(f"incoherence_bound must be finite and positive, got {bound}")
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        _check_radius(self.incoherence_bound, "incoherence_bound")
         # a NaN tolerance would never stop the solve, yet report no fault
         if not (math.isfinite(self.tol_residual) and self.tol_residual >= 0):
             raise ValueError(f"tol_residual must be finite and >= 0, got {self.tol_residual}")
+
+
+def _check_radius(bound, name: str, allow_auto: bool = True):
+    """Refuse an incoherence radius that is neither finite and positive nor "auto".
+
+    The projection compares squared norms with bound^2, so a negative radius
+    would pass for its absolute value, and a NaN one would clip nothing.
+    """
+    if allow_auto and isinstance(bound, str):
+        if bound != "auto":
+            raise ValueError(f"{name} must be 'auto' or a number, got {bound!r}")
+    elif isinstance(bound, str) or not (math.isfinite(bound) and bound > 0):
+        raise ValueError(f"{name} must be finite and positive, got {bound}")
 
 
 @dataclass
@@ -187,36 +210,63 @@ def project_incoherence(L, R, bound: float) -> Factors:
 
     Rows of L are shrunk by min(1, bound / ||L_i (R^H R)^{1/2}||), and rows of
     R symmetrically with (L^H L)^{1/2}; both scalings use the input Gram
-    matrices, not sequentially updated ones.  The row norms need no matrix
-    square root: ||L_i G^{1/2}||^2 = Re(L_i G L_i^H), clamped at 0 against
-    roundoff.
+    matrices, not sequentially updated ones.  ``bound`` must be finite and
+    positive.
+
+    One stacked ``eigh`` decomposes both Grams (skipped when either is zero or
+    non-finite).  Since ||A_i G^{1/2}||^2 <= ||A_i||^2 lambda_max(G), a side
+    whose largest row energy times the other Gram's top eigenvalue stays below
+    bound^2 (1 - 1e-9) has no row to shrink, and its exact row norms
+    sqrt(max(Re(A_i G A_i^H), 0)) are computed only when that screen fails.
+    The margin covers their roundoff, so the result has the exact norms' bytes.
 
     A side with no row over the bound is returned as the input array itself
-    (converted to complex128), not a copy, and carries the Gram formed here,
-    so the next step does not form it again.  A clipped side is a scaled copy
-    and carries none.  The result's ``clipped_rows`` counts the rows shrunk on
-    both sides; the solver's ``"clipped"`` stop reads it.
+    (converted to complex128), not a copy, and carries the Gram and the
+    eigendecomposition formed here, so the next step forms neither again.  A
+    clipped side is a scaled copy and carries neither.  The result's
+    ``clipped_rows`` counts the rows shrunk on both sides; the solver's
+    ``"clipped"`` stop reads it.
     """
+    _check_radius(bound, "bound", allow_auto=False)
     L = np.asarray(L, dtype=np.complex128)
     R = np.asarray(R, dtype=np.complex128)
-    gram_l = L.conj().T @ L
-    gram_r = R.conj().T @ R
-    row_l = _gram_row_norms(L, gram_r)
-    row_r = _gram_row_norms(R, gram_l)
-    L, gram_l, clipped_l = _shrink_rows(L, gram_l, row_l, bound)
-    R, gram_r, clipped_r = _shrink_rows(R, gram_r, row_r, bound)
-    return Factors(L, R, gram_l, gram_r, clipped_l + clipped_r)
+    grams = np.stack((L.conj().T @ L, R.conj().T @ R))
+    gram_l, gram_r = grams
+    eig_l = eig_r = None
+    top_l = top_r = math.nan  # fails the screen: every row norm is computed
+    if _invertible_input(grams):
+        w, Q = _hermitian_eigh(grams)
+        eig_l, eig_r = (w[0], Q[0]), (w[1], Q[1])
+        top_l, top_r = float(w[0, -1]), float(w[1, -1])
+    new_l, clipped_l = _shrink_rows(L, gram_r, top_r, bound)
+    new_r, clipped_r = _shrink_rows(R, gram_l, top_l, bound)
+    if clipped_l:
+        gram_l = eig_l = None
+    if clipped_r:
+        gram_r = eig_r = None
+    return Factors(new_l, new_r, gram_l, gram_r, clipped_l + clipped_r, eig_l=eig_l, eig_r=eig_r)
 
 
-def _shrink_rows(A: np.ndarray, gram: np.ndarray, rows: np.ndarray, bound: float):
-    """A with its rows over ``bound`` scaled onto it, A's Gram if no row was, and their count."""
+def _shrink_rows(A: np.ndarray, other_gram: np.ndarray, other_top: float, bound: float):
+    """A with its rows over ``bound`` (in the other Gram's norm) scaled onto it, and their count."""
+    # Python float products overflow quietly, and inf or nan fails the screen
+    radius = float(bound)
+    if _peak_row_energy(A) * other_top < radius * radius * (1.0 - 1e-9):
+        return A, 0
+    rows = _gram_row_norms(A, other_gram)
     over = rows > bound
     clipped = int(np.count_nonzero(over))
     if not clipped:
-        return A, gram, 0
+        return A, 0
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(over, bound / rows, 1.0)
-    return scale[:, None] * A, None, clipped
+    return scale[:, None] * A, clipped
+
+
+def _peak_row_energy(A: np.ndarray) -> float:
+    """max_i ||A_i||^2, summed over a float view of the real and imaginary parts."""
+    parts = np.ascontiguousarray(A).view(np.float64)
+    return float(np.einsum("ij,ij->i", parts, parts).max(initial=0.0))
 
 
 def _gram_row_norms(A: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -279,6 +329,9 @@ def spectral_init(
         raise ValueError(f"expected length {n}, got {f_obs.shape}")
     if rank < 1 or rank > min(n1, n2):
         raise ValueError(f"rank {rank} not in [1, {min(n1, n2)}]")
+    if not 0.0 <= alpha < 1.0 + 1e-12:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    _check_radius(bound, "bound")
     _check_supported(f_obs, pattern)
 
     s0 = _sparsify(f_obs, math.ceil(alpha * pattern.m), shape)
@@ -342,37 +395,51 @@ def hsnld_step(
     config: RecoveryConfig,
 ) -> IterateState:
     """One preconditioned update of both factors (computed jointly, then projected)."""
-    L, R = state.factors.L, state.factors.R
+    current = state.factors
     eta = config.eta
     grad_l, grad_r = _factor_products(_descent_direction(state, pattern), state.spectra)
-    gram_l, gram_r = state.factors.grams()
+    gram_l, gram_r = current.grams()
     try:
-        inv_gram_r = gram_inverse(gram_r)
-        inv_gram_l = gram_inverse(gram_l)
+        inv_gram_r = _preconditioner(gram_r, current.eig_r)
+        inv_gram_l = _preconditioner(gram_l, current.eig_l)
     except DegenerateGramError as exc:
         raise SolverError(str(exc), state.iteration) from exc
-    # (1 - eta) L - (eta grad_l) inv_gram_r, operation for operation, in the
-    # step's own product blocks and one fresh array per factor
-    grad_l *= eta
-    grad_r *= eta
-    new_l = (1.0 - eta) * L
-    new_l -= grad_l @ inv_gram_r
-    new_r = (1.0 - eta) * R
-    new_r -= grad_r @ inv_gram_l
+    # (1 - eta) L - grad_l (eta inv_gram_r): eta scales the r x r inverse, not
+    # the n x r gradient, and the bytes are those of (eta grad_l) inv_gram_r
+    # whenever eta is a power of two, the default 0.5 included
+    new_l = (1.0 - eta) * current.L
+    new_l -= grad_l @ (eta * inv_gram_r)
+    new_r = (1.0 - eta) * current.R
+    new_r -= grad_r @ (eta * inv_gram_l)
     factors = project_incoherence(new_l, new_r, state.bound)
     return _refresh(factors, f_obs, pattern, shape, config, state.iteration + 1, state.bound)
 
 
+def _preconditioner(gram: np.ndarray, eig) -> np.ndarray:
+    """G^{-1}: from the projection's eigendecomposition where carried, with
+    :func:`~hankelx.linalg.gram_inverse`'s checks, else by that function."""
+    return gram_inverse(gram) if eig is None else _inverse_from_eigh(*eig)
+
+
 def recovery_error(z_est, z_true) -> float:
     """Relative l2 error, equal to the relative Frobenius error of the embeddings."""
-    a = np.asarray(z_est, dtype=np.complex128)
+    return _error_against(z_true)(z_est)
+
+
+def _error_against(z_true):
+    """:func:`recovery_error` against a fixed truth, whose norm is taken once."""
     b = np.asarray(z_true, dtype=np.complex128)
-    if a.shape != b.shape:
-        raise ValueError("length mismatch")
     denom = np.linalg.norm(b)
     if denom == 0:
         raise ValueError("ground truth is identically zero")
-    return float(np.linalg.norm(a - b) / denom)
+
+    def error(z_est) -> float:
+        a = np.asarray(z_est, dtype=np.complex128)
+        if a.shape != b.shape:
+            raise ValueError("length mismatch")
+        return float(np.linalg.norm(a - b) / denom)
+
+    return error
 
 
 def _run(
@@ -398,16 +465,13 @@ def _run(
     state = _refresh(init.factors, f_obs, pattern, shape, config, 0, bound)
     denom = np.linalg.norm(f_obs)
     records: list[IterationRecord] = []
+    with np.errstate(over="ignore"):  # quiet on an overflowing truth, as the records are
+        error_of = (lambda z: math.nan) if ground_truth is None else _error_against(ground_truth)
 
     def residual_of(st: IterateState) -> float:
         if denom == 0:
             return 0.0
         return float(np.linalg.norm(st.gap) / denom)
-
-    def error_of(st: IterateState) -> float:
-        if ground_truth is None:
-            return float("nan")
-        return recovery_error(st.z.z, ground_truth)
 
     # the stop on a pressed incoherence ball trusts only an estimated radius
     clip_stop = config.incoherence_bound == "auto"
@@ -417,7 +481,7 @@ def _run(
         # a diverging iterate's norms overflow; the non-finite stop below reports it
         with np.errstate(over="ignore"):
             res = residual_of(state)
-            err = error_of(state)
+            err = error_of(state.z.z)
         records.append(IterationRecord(state.iteration, res, err, time.perf_counter() - start))
         if res <= config.tol_residual:
             termination = "residual_tol"
@@ -475,10 +539,14 @@ def run_hsnld(
     An explicit bound is the caller's constraint and never stops a solve.
     The checks run in that order, so a converged iterate reports
     ``"residual_tol"``.  Each step right-multiplies a factor's
-    gradient by the other factor's inverse Gram, as
-    :func:`~hankelx.linalg.gram_inverse` computes it from the Gram the last
-    projection formed; a zero, non-finite or singular Gram raises
-    :class:`SolverError`.
+    gradient by the other factor's inverse Gram, scaled by ``eta``.  The
+    inverse comes from the eigendecomposition the last projection took of
+    that Gram, with the checks of :func:`~hankelx.linalg.gram_inverse`, which
+    runs instead when the projection carried none (a clipped factor, or a zero
+    or non-finite Gram on either side); a zero, non-finite or singular Gram
+    raises :class:`SolverError`.  The projection computes exact row norms
+    only for a factor that its eigenvalue screen cannot clear (see
+    :func:`project_incoherence`).
     """
     return _run("hsnld", f_obs, pattern, shape, config, ground_truth)
 

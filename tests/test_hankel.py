@@ -148,6 +148,8 @@ def test_lowrank_to_signal_matches_dense(rng):
     assert rel_err(fast.z, dense.z) <= 1e-11
     with pytest.raises(ValueError):
         lowrank_to_signal(L, rand_complex(rng, shape.n2, 3), shape)
+    with pytest.raises(ValueError, match="nonzero column counts"):
+        lowrank_to_signal(L[:, :0], R[:, :0], shape)
 
 
 def test_matvec_examples(rng):

@@ -5,6 +5,7 @@ import pytest
 
 from hankelx.hankel import HankelShape, hankel_matmat, hankel_rmatmat, reweight
 from hankelx.linalg import DegenerateGramError, gram_inverse, truncated_svd
+from hankelx.linalg import _hermitian_eigh, _inverse_from_eigh
 
 from conftest import rand_complex, rel_err
 
@@ -55,6 +56,20 @@ def test_inverse_degenerate(rng):
         gram_inverse(gram(A))
     with pytest.raises(DegenerateGramError, match="zero or non-finite"):
         gram_inverse(np.zeros((3, 3), dtype=complex))
+
+
+def test_stacked_eigh_gives_each_grams_own_inverse_bytes(rng):
+    # the incoherence projection decomposes both factor Grams in one stacked
+    # eigh, and the step inverts those; each must equal gram_inverse bit for bit
+    for r in (1, 2, 5, 10):
+        grams = [gram(rand_complex(rng, 40 + 7 * r, r)) for _ in range(2)]
+        w, Q = _hermitian_eigh(np.stack(grams))
+        for i, G in enumerate(grams):
+            assert _inverse_from_eigh(w[i], Q[i]).tobytes() == gram_inverse(G).tobytes()
+    with pytest.raises(DegenerateGramError, match="degenerate factor Gram matrix"):
+        A = rand_complex(rng, 8, 3)
+        A[:, 2] = A[:, 1]
+        _inverse_from_eigh(*_hermitian_eigh(gram(A)))
 
 
 def test_inverse_nonfinite_and_overflowing_gram_quietly():

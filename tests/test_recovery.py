@@ -26,6 +26,8 @@ from hankelx.recovery import (
     run_plain_gd,
     spectral_init,
 )
+from hankelx.hankel import _factor_products, _lowrank_spectra, _sqrt_counts
+from hankelx.linalg import gram_inverse
 from hankelx.recovery import _plain_gd_step, _refresh
 from hankelx.sampling import (
     WITHOUT_REPLACEMENT,
@@ -70,6 +72,13 @@ def test_default_gamma_schedule():
 def test_config_validation():
     with pytest.raises(ValueError):
         RecoveryConfig(rank=0, alpha=0.1).validate()
+    for rank in (2.0, True, np.nan, "2"):
+        with pytest.raises(ValueError, match="rank must be an integer"):
+            RecoveryConfig(rank=rank, alpha=0.1).validate()
+    for max_iters in (2.5, np.nan, np.inf, True, -1, 10.0):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            RecoveryConfig(rank=1, alpha=0.1, max_iters=max_iters).validate()
+    RecoveryConfig(rank=np.int64(2), alpha=0.1, max_iters=np.int32(0)).validate()
     with pytest.raises(ValueError):
         RecoveryConfig(rank=1, alpha=0.1, eta=1.5).validate()
     for bound in (-1.0, 0.0, np.inf, np.nan):
@@ -79,6 +88,44 @@ def test_config_validation():
         with pytest.raises(ValueError, match="tol_residual"):
             RecoveryConfig(rank=1, alpha=0.1, tol_residual=tol).validate()
     RecoveryConfig(rank=1, alpha=0.1, incoherence_bound=2.0, tol_residual=0.0).validate()
+
+
+def test_fractional_max_iters_is_refused_before_solving():
+    # iteration == 2.5 is never true: with no residual stop the solve never ended
+    sig, pattern, f_obs, _ = make_instance(63, 2, 2.0, 63, 0.0, 173)
+    config = RecoveryConfig(rank=2, alpha=0.0, max_iters=2.5, tol_residual=0.0)
+    for solve in (run_hsnld, run_plain_gd):
+        with pytest.raises(ValueError, match="max_iters"):
+            solve(f_obs, pattern, sig.shape, config)
+
+
+@pytest.mark.parametrize("bound", [-1.0, 0.0, -0.0, np.nan, np.inf, -np.inf])
+def test_bad_radius_rejected_where_it_enters(rng, bound):
+    # bound^2 would let -1.0 through as 1.0, and a NaN radius clipped nothing
+    L = rand_complex(rng, 16, 2)
+    R = rand_complex(rng, 15, 2)
+    with pytest.raises(ValueError, match="bound must be finite and positive"):
+        project_incoherence(L, R, bound)
+    sig, pattern, f_obs, _ = make_instance(64, 2, 2.0, 50, 0.1, 175)
+    with pytest.raises(ValueError, match="bound must be finite and positive"):
+        spectral_init(f_obs, pattern, sig.shape, 2, 0.1, bound=bound)
+
+
+@pytest.mark.parametrize("alpha", [-0.1, 1.5, np.nan, -np.inf])
+def test_spectral_init_rejects_bad_alpha(alpha):
+    sig, pattern, f_obs, _ = make_instance(64, 2, 2.0, 50, 0.1, 177)
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        spectral_init(f_obs, pattern, sig.shape, 2, alpha)
+
+
+def test_spectral_init_radius_forms():
+    sig, pattern, f_obs, _ = make_instance(64, 2, 2.0, 50, 0.1, 179)
+    with pytest.raises(ValueError, match="'auto' or a number"):
+        spectral_init(f_obs, pattern, sig.shape, 2, 0.1, bound="automatic")
+    auto = spectral_init(f_obs, pattern, sig.shape, 2, 0.1, bound="auto")
+    fixed = spectral_init(f_obs, pattern, sig.shape, 2, 0.1, bound=auto.incoherence_bound)
+    np.testing.assert_array_equal(fixed.factors.L, auto.factors.L)
+    np.testing.assert_array_equal(fixed.factors.R, auto.factors.R)
 
 
 def test_project_incoherence_identity_within_bound(rng):
@@ -289,6 +336,102 @@ def test_steps_match_public_product_reference():
             assert rel_err(got.gap, ref.gap) <= 1e-12
 
 
+def _longhand_update(state, pattern, shape, config, sigma1=None):
+    """The step's arithmetic written out: eta scales the gradients, each Gram is
+    formed afresh and inverted by gram_inverse; plain descent when sigma1 is given."""
+    L, R = state.factors.L, state.factors.R
+    direction = WeightedSignal(shape, state.gap / pattern.rate - state.z.z)
+    grad_l, grad_r = _factor_products(direction, state.spectra)
+    gram_l, gram_r = L.conj().T @ L, R.conj().T @ R
+    if sigma1 is not None:
+        step = config.eta / sigma1
+        grad_l += L @ gram_r
+        grad_r += R @ gram_l
+        return L - step * grad_l, R - step * grad_r
+    eta = config.eta
+    inv_gram_r, inv_gram_l = gram_inverse(gram_r), gram_inverse(gram_l)
+    grad_l *= eta
+    grad_r *= eta
+    new_l = (1.0 - eta) * L
+    new_l -= grad_l @ inv_gram_r
+    new_r = (1.0 - eta) * R
+    new_r -= grad_r @ inv_gram_l
+    return new_l, new_r
+
+
+def _exact_row_norms(A, gram):
+    return np.sqrt(np.clip(np.einsum("ij,ij->i", A @ gram, A.conj()).real, 0.0, None))
+
+
+def _longhand_projection(L, R, bound):
+    """Every row norm computed exactly, both from the input Grams."""
+    gram_l, gram_r = L.conj().T @ L, R.conj().T @ R
+    out, clipped = [], 0
+    for A, other in ((L, gram_r), (R, gram_l)):
+        rows = _exact_row_norms(A, other)
+        over = rows > bound
+        clipped += int(np.count_nonzero(over))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out.append(np.where(over, bound / rows, 1.0)[:, None] * A if over.any() else A)
+    return Factors(*out, clipped_rows=clipped)
+
+
+def _longhand_step(state, f_obs, pattern, shape, config, sigma1=None):
+    new_l, new_r = _longhand_update(state, pattern, shape, config, sigma1)
+    factors = _longhand_projection(new_l, new_r, state.bound)
+    return _refresh(factors, f_obs, pattern, shape, config, state.iteration + 1,
+                    state.bound)
+
+
+def _assert_same_bytes(got, want):
+    assert got.factors.clipped_rows == want.factors.clipped_rows
+    for name, array in _iterate_arrays(got).items():
+        np.testing.assert_array_equal(array, _iterate_arrays(want)[name], err_msg=name)
+        assert array.tobytes() == _iterate_arrays(want)[name].tobytes(), name
+
+
+@pytest.mark.parametrize("n, r, seed", [(255, 5, 193), (4095, 6, 195)])
+def test_steps_match_longhand_arithmetic_bitwise(monkeypatch, n, r, seed):
+    # the steps fold eta into the r x r inverse, invert the eigendecomposition
+    # the projection took, and compute exact row norms only when the screen
+    # ||A_i||^2 lambda_max < bound^2 (1 - 1e-9) fails; at the default
+    # eta = 0.5 none of that may change a bit
+    exact_sides = []
+    row_norms = recovery._gram_row_norms
+    monkeypatch.setattr(recovery, "_gram_row_norms",
+                        lambda A, gram: exact_sides.append(A.shape) or row_norms(A, gram))
+    shape, pattern, f_obs, config, sigma1, state = _mid_solve_state(n, r, seed)
+    assert config.eta == 0.5
+    plain = state
+    for _ in range(3):
+        want = _longhand_step(state, f_obs, pattern, shape, config)
+        state = hsnld_step(state, f_obs, pattern, shape, config)
+        _assert_same_bytes(state, want)
+        want = _longhand_step(plain, f_obs, pattern, shape, config, sigma1)
+        plain = _plain_gd_step(plain, f_obs, pattern, shape, config, sigma1)
+        _assert_same_bytes(plain, want)
+    assert state.factors.eig_l is not None and state.factors.eig_r is not None
+    assert exact_sides == []  # these iterates sit well inside the ball
+
+    # a radius within 1e-12 of the largest row norm of the next update: the
+    # screen cannot clear that side, and the exact norms decide
+    for step_sigma1, st in ((None, state), (sigma1, plain)):
+        new_l, new_r = _longhand_update(st, pattern, shape, config, step_sigma1)
+        gram_l, gram_r = new_l.conj().T @ new_l, new_r.conj().T @ new_r
+        peak = max(_exact_row_norms(new_l, gram_r).max(), _exact_row_norms(new_r, gram_l).max())
+        for rel, clips in ((1 + 1e-12, False), (1 - 1e-12, True)):
+            near = replace(st, bound=peak * rel)
+            want = _longhand_step(near, f_obs, pattern, shape, config, step_sigma1)
+            if step_sigma1 is None:
+                got = hsnld_step(near, f_obs, pattern, shape, config)
+            else:
+                got = _plain_gd_step(near, f_obs, pattern, shape, config, step_sigma1)
+            assert (got.factors.clipped_rows > 0) == clips
+            assert exact_sides
+            exact_sides.clear()
+            _assert_same_bytes(got, want)
+
+
 def test_transform_budget(monkeypatch):
     # each step makes 4 transform calls over 4r + 2 rows: the 2r factor rows
     # and one inverse to map the factors back to a signal, then the direction
@@ -350,13 +493,20 @@ def test_steps_and_products_leave_inputs_unmodified():
 
 
 def test_carried_grams_change_no_bit():
-    # a step reuses the Grams the projection formed; forming them afresh from
-    # the same factors must give the same bytes
+    # a step reuses the Grams and the eigendecompositions the projection
+    # formed; forming the Grams afresh from the same factors and inverting them
+    # with gram_inverse must give the same bytes
     shape, pattern, f_obs, config, sigma1, state = _mid_solve_state(255, 5, 185)
-    assert state.factors.gram_l is not None and state.factors.gram_r is not None
-    bare = _refresh(Factors(state.factors.L.copy(), state.factors.R.copy()), f_obs,
+    carried = state.factors
+    assert carried.gram_l is not None and carried.gram_r is not None
+    assert carried.eig_l is not None and carried.eig_r is not None
+    for gram, (w, Q) in ((carried.gram_l, carried.eig_l), (carried.gram_r, carried.eig_r)):
+        inverse = (Q * (1.0 / w)) @ Q.conj().T
+        assert inverse.tobytes() == gram_inverse(gram).tobytes()
+    bare = _refresh(Factors(carried.L.copy(), carried.R.copy()), f_obs,
                     pattern, shape, config, state.iteration, state.bound)
     assert bare.factors.gram_l is None and bare.factors.gram_r is None
+    assert bare.factors.eig_l is None and bare.factors.eig_r is None
     for step in (
         lambda st: hsnld_step(st, f_obs, pattern, shape, config),
         lambda st: _plain_gd_step(st, f_obs, pattern, shape, config, sigma1),
@@ -383,6 +533,31 @@ def test_block_product_allocation_budget():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * block, f"peak {peak / block:.2f} blocks"
+
+
+def test_lowrank_spectra_allocation_budget():
+    # the (2r, N) spectrum block plus a few length-N vectors: R's conjugate is
+    # written straight into the block, only the padding is zeroed, and the
+    # rank-one spectra are summed row by row rather than as an (r, N) product
+    n, r = 4095, 5
+    shape = HankelShape.square(n)
+    rng = np.random.default_rng(189)
+    L = rand_complex(rng, shape.n1, r)
+    R = rand_complex(rng, shape.n2, r)
+    block = 2 * r * 4096 * np.dtype(np.complex128).itemsize
+    z, spec = _lowrank_spectra(L, R, shape)
+    tracemalloc.start()
+    try:
+        _lowrank_spectra(L, R, shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.35 * block, f"peak {peak / block:.2f} blocks"
+    # the row-by-row sum has the bytes of the product block summed over axis 0
+    for cols in (1, 2, r):
+        z, spec = _lowrank_spectra(L[:, :cols], R[:, :cols], shape)
+        summed = np.fft.ifft((spec[:cols] * spec[cols:]).sum(axis=0))[:n]
+        assert z.z.tobytes() == (summed / _sqrt_counts(shape)).tobytes()
 
 
 def test_run_hsnld_clean_full_observation_fast():
@@ -504,7 +679,11 @@ def test_run_hsnld_degenerate_gram_raises():
     pattern = sample_pattern(n, n, WITHOUT_REPLACEMENT, seed=99)
     f_obs = project_obs(sig.z, pattern)
     config = RecoveryConfig(rank=2, alpha=0.0, max_iters=10, tol_residual=1e-16)
-    with pytest.raises(SolverError):
+    # the inverse comes from the eigendecomposition the init's projection
+    # carried, and refuses it with gram_inverse's message
+    init = spectral_init(f_obs, pattern, sig.shape, 2, 0.0, seed=config.seed)
+    assert init.factors.eig_l is not None and init.factors.eig_r is not None
+    with pytest.raises(SolverError, match=r"^degenerate factor Gram matrix \(iteration 0\)$"):
         run_hsnld(f_obs, pattern, sig.shape, config)
 
 
