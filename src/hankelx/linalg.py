@@ -1,13 +1,14 @@
 """Dense complex linear algebra at factor scale (r x r and n x r).
 
-The inverse of a factor's Gram matrix, which preconditions every HSNLD step,
-plus a randomized truncated SVD driven entirely by caller-supplied block
-matvec callables so the large dimension is only ever touched through fast
-operator products.
+The eigendecomposition of a stack of factor Gram matrices and the inverse
+taken from it, which preconditions every HSNLD step, plus a randomized
+truncated SVD driven entirely by caller-supplied block matvec callables so
+the large dimension is only ever touched through fast operator products.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -16,7 +17,6 @@ import numpy as np
 __all__ = [
     "DegenerateGramError",
     "TruncatedSVD",
-    "gram_inverse",
     "truncated_svd",
 ]
 
@@ -25,24 +25,15 @@ class DegenerateGramError(RuntimeError):
     """Raised when a factor Gram matrix is numerically singular (rank collapse)."""
 
 
-def gram_inverse(G: np.ndarray) -> np.ndarray:
-    """Inverse G^{-1} of a factor's Gram matrix G = A^H A, refusing rank collapse.
-
-    The caller forms G.  A zero or non-finite G, or one whose eigenvalues span
-    a ratio below 1e-12, raises :class:`DegenerateGramError`.
-    It is :func:`_hermitian_eigh` followed by :func:`_inverse_from_eigh`;
-    :func:`~hankelx.recovery.hsnld_step` runs the second half alone on the
-    eigendecomposition the incoherence projection already took.
-    """
-    if not _invertible_input(G):
-        raise DegenerateGramError("degenerate factor Gram matrix (zero or non-finite input)")
-    return _inverse_from_eigh(*_hermitian_eigh(G))
-
-
 def _invertible_input(G: np.ndarray) -> bool:
-    """Whether G, or every matrix of a stack, passes :func:`gram_inverse`'s
-    first check: finite and nonzero."""
+    """Whether every matrix of a stack of Grams is finite and nonzero."""
     return bool(np.isfinite(G).all() and np.any(G, axis=(-2, -1)).all())
+
+
+def _check_integer(name: str, value, low: int):
+    """Refuse a value that is not an integer >= low; bools and floats included."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _hermitian_eigh(G: np.ndarray):
@@ -97,7 +88,8 @@ def truncated_svd(
     (Halko, Martinsson and Tropp, SIAM Review 2011); more passes cost two
     block products each and save the solver no iterations.
     """
-    if not 1 <= rank <= min(n1, n2):
+    _check_integer("rank", rank, 1)
+    if rank > min(n1, n2):
         raise ValueError(f"rank {rank} not in [1, {min(n1, n2)}]")
     width = min(rank + max(10, 2 * rank), min(n1, n2))
     rng = np.random.default_rng(seed)

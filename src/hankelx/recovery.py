@@ -18,9 +18,8 @@ particular published method.
 from __future__ import annotations
 
 import math
-import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,8 +34,8 @@ from .hankel import (
 )
 from .linalg import (
     DegenerateGramError,
-    gram_inverse,
     truncated_svd,
+    _check_integer,
     _hermitian_eigh,
     _inverse_from_eigh,
     _invertible_input,
@@ -95,35 +94,28 @@ CLIP_STOP_ITERS = 10
 class Factors:
     """Low-rank factor pair; the estimate of the embedded matrix is L @ R^H.
 
-    ``gram_l`` and ``gram_r``, when set, are L^H L and R^H R as
-    :func:`project_incoherence` formed them for these very arrays, for each
-    side it left unclipped.  ``eig_l`` and ``eig_r``, when set, are the
-    ``(w, Q)`` eigendecompositions of those Grams' Hermitian parts, taken there
-    for the row-norm screen when both Grams were finite and nonzero;
-    :func:`hsnld_step` inverts them instead of decomposing again.  All four
-    are valid only while L and R stay unmodified.  ``clipped_rows`` is the
-    number of rows of L and R together that the projection shrank.
+    ``grams`` is the stack (L^H L, R^H R), formed from these very arrays, and
+    ``eig`` the stacked ``(w, Q)`` eigendecomposition of their Hermitian
+    parts, or None when a Gram is zero or non-finite.  :func:`project_incoherence`
+    screens rows with them and :func:`hsnld_step` inverts them, so neither
+    forms them again.  Both are valid only while L and R stay unmodified.
+    ``clipped_rows`` is the number of rows of L and R together that the
+    projection shrank.
     """
 
     L: np.ndarray
     R: np.ndarray
-    gram_l: np.ndarray | None = None
-    gram_r: np.ndarray | None = None
     clipped_rows: int = 0
-    eig_l: tuple[np.ndarray, np.ndarray] | None = None
-    eig_r: tuple[np.ndarray, np.ndarray] | None = None
+    grams: np.ndarray = field(init=False, repr=False)
+    eig: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False)
 
     def __post_init__(self):
         self.L = np.asarray(self.L, dtype=np.complex128)
         self.R = np.asarray(self.R, dtype=np.complex128)
         if self.L.ndim != 2 or self.R.ndim != 2 or self.L.shape[1] != self.R.shape[1]:
             raise ValueError("factor shapes are inconsistent")
-
-    def grams(self) -> tuple[np.ndarray, np.ndarray]:
-        """(L^H L, R^H R): the carried Grams where set, formed here otherwise."""
-        gram_l = self.L.conj().T @ self.L if self.gram_l is None else self.gram_l
-        gram_r = self.R.conj().T @ self.R if self.gram_r is None else self.gram_r
-        return gram_l, gram_r
+        self.grams = np.stack((self.L.conj().T @ self.L, self.R.conj().T @ self.R))
+        self.eig = _hermitian_eigh(self.grams) if _invertible_input(self.grams) else None
 
 
 def default_gamma(k: int) -> float:
@@ -146,9 +138,7 @@ class RecoveryConfig:
     def validate(self):
         # a fractional or NaN max_iters is never reached, so the solve never stops
         for name, low in (("rank", 1), ("max_iters", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            _check_integer(name, getattr(self, name), low)
         if not 0.0 <= self.alpha < 1.0 + 1e-12:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not 0.0 <= self.eta <= 1.0:
@@ -213,45 +203,36 @@ def project_incoherence(L, R, bound: float) -> Factors:
     matrices, not sequentially updated ones.  ``bound`` must be finite and
     positive.
 
-    One stacked ``eigh`` decomposes both Grams (skipped when either is zero or
-    non-finite).  Since ||A_i G^{1/2}||^2 <= ||A_i||^2 lambda_max(G), a side
-    whose largest row energy times the other Gram's top eigenvalue stays below
-    bound^2 (1 - 1e-9) has no row to shrink, and its exact row norms
+    The input pair's :class:`Factors` carries both Grams and their
+    eigendecomposition.  Since ||A_i G^{1/2}||^2 <= ||A_i||^2 lambda_max(G), a
+    side whose largest row energy times the other Gram's top eigenvalue stays
+    below bound^2 (1 - 1e-9) has no row to shrink, and its exact row norms
     sqrt(max(Re(A_i G A_i^H), 0)) are computed only when that screen fails.
     The margin covers their roundoff, so the result has the exact norms' bytes.
 
-    A side with no row over the bound is returned as the input array itself
-    (converted to complex128), not a copy, and carries the Gram and the
-    eigendecomposition formed here, so the next step forms neither again.  A
-    clipped side is a scaled copy and carries neither.  The result's
-    ``clipped_rows`` counts the rows shrunk on both sides; the solver's
-    ``"clipped"`` stop reads it.
+    With no row over the bound the result is that :class:`Factors`, holding
+    the input arrays themselves (converted to complex128), not copies.
+    Otherwise it is a new one, whose clipped sides are scaled copies.  The
+    result's ``clipped_rows`` counts the rows shrunk on both sides; the
+    solver's ``"clipped"`` stop reads it.
     """
     _check_radius(bound, "bound", allow_auto=False)
-    L = np.asarray(L, dtype=np.complex128)
-    R = np.asarray(R, dtype=np.complex128)
-    grams = np.stack((L.conj().T @ L, R.conj().T @ R))
-    gram_l, gram_r = grams
-    eig_l = eig_r = None
-    top_l = top_r = math.nan  # fails the screen: every row norm is computed
-    if _invertible_input(grams):
-        w, Q = _hermitian_eigh(grams)
-        eig_l, eig_r = (w[0], Q[0]), (w[1], Q[1])
-        top_l, top_r = float(w[0, -1]), float(w[1, -1])
-    new_l, clipped_l = _shrink_rows(L, gram_r, top_r, bound)
-    new_r, clipped_r = _shrink_rows(R, gram_l, top_l, bound)
-    if clipped_l:
-        gram_l = eig_l = None
-    if clipped_r:
-        gram_r = eig_r = None
-    return Factors(new_l, new_r, gram_l, gram_r, clipped_l + clipped_r, eig_l=eig_l, eig_r=eig_r)
+    factors = Factors(L, R)
+    gram_l, gram_r = factors.grams
+    # a zero or non-finite Gram fails the screen: every row norm is computed
+    top_l, top_r = (math.nan, math.nan) if factors.eig is None else factors.eig[0][:, -1]
+    new_l, clipped_l = _shrink_rows(factors.L, gram_r, top_r, bound)
+    new_r, clipped_r = _shrink_rows(factors.R, gram_l, top_l, bound)
+    if not clipped_l + clipped_r:
+        return factors
+    return Factors(new_l, new_r, clipped_l + clipped_r)
 
 
 def _shrink_rows(A: np.ndarray, other_gram: np.ndarray, other_top: float, bound: float):
     """A with its rows over ``bound`` (in the other Gram's norm) scaled onto it, and their count."""
     # Python float products overflow quietly, and inf or nan fails the screen
     radius = float(bound)
-    if _peak_row_energy(A) * other_top < radius * radius * (1.0 - 1e-9):
+    if _peak_row_energy(A) * float(other_top) < radius * radius * (1.0 - 1e-9):
         return A, 0
     rows = _gram_row_norms(A, other_gram)
     over = rows > bound
@@ -327,7 +308,8 @@ def spectral_init(
     n1, n2, n = shape.n1, shape.n2, shape.n
     if f_obs.shape != (n,):
         raise ValueError(f"expected length {n}, got {f_obs.shape}")
-    if rank < 1 or rank > min(n1, n2):
+    _check_integer("rank", rank, 1)
+    if rank > min(n1, n2):
         raise ValueError(f"rank {rank} not in [1, {min(n1, n2)}]")
     if not 0.0 <= alpha < 1.0 + 1e-12:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
@@ -398,10 +380,12 @@ def hsnld_step(
     current = state.factors
     eta = config.eta
     grad_l, grad_r = _factor_products(_descent_direction(state, pattern), state.spectra)
-    gram_l, gram_r = current.grams()
     try:
-        inv_gram_r = _preconditioner(gram_r, current.eig_r)
-        inv_gram_l = _preconditioner(gram_l, current.eig_l)
+        if current.eig is None:
+            raise DegenerateGramError("degenerate factor Gram matrix (zero or non-finite input)")
+        w, Q = current.eig
+        inv_gram_r = _inverse_from_eigh(w[1], Q[1])
+        inv_gram_l = _inverse_from_eigh(w[0], Q[0])
     except DegenerateGramError as exc:
         raise SolverError(str(exc), state.iteration) from exc
     # (1 - eta) L - grad_l (eta inv_gram_r): eta scales the r x r inverse, not
@@ -413,12 +397,6 @@ def hsnld_step(
     new_r -= grad_r @ (eta * inv_gram_l)
     factors = project_incoherence(new_l, new_r, state.bound)
     return _refresh(factors, f_obs, pattern, shape, config, state.iteration + 1, state.bound)
-
-
-def _preconditioner(gram: np.ndarray, eig) -> np.ndarray:
-    """G^{-1}: from the projection's eigendecomposition where carried, with
-    :func:`~hankelx.linalg.gram_inverse`'s checks, else by that function."""
-    return gram_inverse(gram) if eig is None else _inverse_from_eigh(*eig)
 
 
 def recovery_error(z_est, z_true) -> float:
@@ -513,7 +491,7 @@ def _plain_gd_step(state, f_obs, pattern, shape, config, sigma1) -> IterateState
     L, R = state.factors.L, state.factors.R
     step = config.eta / sigma1
     grad_l, grad_r = _factor_products(_descent_direction(state, pattern), state.spectra)
-    gram_l, gram_r = state.factors.grams()
+    gram_l, gram_r = state.factors.grams
     grad_l += L @ gram_r
     grad_r += R @ gram_l
     factors = project_incoherence(L - step * grad_l, R - step * grad_r, state.bound)
@@ -540,12 +518,11 @@ def run_hsnld(
     The checks run in that order, so a converged iterate reports
     ``"residual_tol"``.  Each step right-multiplies a factor's
     gradient by the other factor's inverse Gram, scaled by ``eta``.  The
-    inverse comes from the eigendecomposition the last projection took of
-    that Gram, with the checks of :func:`~hankelx.linalg.gram_inverse`, which
-    runs instead when the projection carried none (a clipped factor, or a zero
-    or non-finite Gram on either side); a zero, non-finite or singular Gram
-    raises :class:`SolverError`.  The projection computes exact row norms
-    only for a factor that its eigenvalue screen cannot clear (see
+    inverse comes from the eigendecomposition that the iterate's
+    :class:`Factors` carries; a zero or non-finite Gram on either side, or
+    one whose eigenvalues span a ratio below 1e-12, raises
+    :class:`SolverError`.  The projection computes exact row norms only for
+    a factor that its eigenvalue screen cannot clear (see
     :func:`project_incoherence`).
     """
     return _run("hsnld", f_obs, pattern, shape, config, ground_truth)

@@ -161,6 +161,7 @@ def test_recover_solver_error_exit_1(tmp_path, capsys):
     code = run_cli("recover", "--out", str(tmp_path / "r"), f"input={data}",
                    "r=2", "tol_residual=0")
     assert code == 1
+    assert capsys.readouterr().err == "solver error: degenerate factor Gram matrix (iteration 0)\n"
 
 
 def test_converge_small_grid(tmp_path):
@@ -339,13 +340,7 @@ def test_phase_trials_csv_adds_up_to_phase_csv(tmp_path):
 
 
 def test_phase_names_a_degenerate_gram(tmp_path, monkeypatch):
-    def collapsing(*args, **kwargs):
-        try:
-            raise DegenerateGramError("degenerate factor Gram matrix")
-        except DegenerateGramError as exc:
-            raise SolverError(str(exc), 7) from exc
-
-    monkeypatch.setattr(cli, "run_hsnld", collapsing)
+    monkeypatch.setattr(cli, "run_hsnld", _collapsing_hsnld)
     out = tmp_path / "phase"
     assert run_cli("phase", "--out", str(out), "n=64", "r=2", "m_values=64",
                    "alpha_values=0", "trials=1") == 0

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from hankelx.hankel import HankelShape, hankel_matmat, hankel_rmatmat, reweight
-from hankelx.linalg import DegenerateGramError, gram_inverse, truncated_svd
+from hankelx.linalg import DegenerateGramError, truncated_svd
 from hankelx.linalg import _hermitian_eigh, _inverse_from_eigh
+from hankelx.recovery import Factors, spectral_init
+from hankelx.sampling import WITHOUT_REPLACEMENT, sample_pattern
 
 from conftest import rand_complex, rel_err
 
@@ -41,31 +43,42 @@ def gram(A):
     return A.conj().T @ A
 
 
+def carried_inverses(A, B):
+    """(A^H A)^{-1} and (B^H B)^{-1} from the eigendecomposition Factors(A, B) carries."""
+    w, Q = Factors(A, B).eig
+    return _inverse_from_eigh(w[0], Q[0]), _inverse_from_eigh(w[1], Q[1])
+
+
 def test_inverse_examples(rng):
-    np.testing.assert_allclose(gram_inverse(np.eye(3)), np.eye(3), atol=1e-14)
-    D = np.diag([2.0, 4.0])
-    np.testing.assert_allclose(gram_inverse(D), np.diag([0.5, 0.25]), atol=1e-14)
+    for inverse in carried_inverses(np.eye(3), np.eye(3)):
+        np.testing.assert_allclose(inverse, np.eye(3), atol=1e-14)
+    A = np.diag(np.sqrt([2.0, 4.0]))
+    np.testing.assert_allclose(carried_inverses(A, A)[0], np.diag([0.5, 0.25]), atol=1e-14)
     A = rand_complex(rng, 9, 6)
-    assert rel_err(gram(A) @ gram_inverse(gram(A)), np.eye(6)) <= 1e-10
+    B = rand_complex(rng, 7, 6)
+    inv_a, inv_b = carried_inverses(A, B)
+    assert rel_err(gram(A) @ inv_a, np.eye(6)) <= 1e-10
+    assert rel_err(gram(B) @ inv_b, np.eye(6)) <= 1e-10
 
 
 def test_inverse_degenerate(rng):
     A = rand_complex(rng, 8, 3)
     A[:, 2] = A[:, 1]  # rank-collapsed factor
     with pytest.raises(DegenerateGramError, match="degenerate factor Gram matrix"):
-        gram_inverse(gram(A))
-    with pytest.raises(DegenerateGramError, match="zero or non-finite"):
-        gram_inverse(np.zeros((3, 3), dtype=complex))
+        carried_inverses(rand_complex(rng, 6, 3), A)
+    # a zero Gram on either side leaves nothing to invert
+    assert Factors(np.zeros((4, 3)), rand_complex(rng, 5, 3)).eig is None
+    assert Factors(rand_complex(rng, 4, 3), np.zeros((5, 3))).eig is None
 
 
 def test_stacked_eigh_gives_each_grams_own_inverse_bytes(rng):
-    # the incoherence projection decomposes both factor Grams in one stacked
-    # eigh, and the step inverts those; each must equal gram_inverse bit for bit
+    # Factors decomposes both factor Grams in one stacked eigh, and the step
+    # inverts those; each must equal a lone Gram's inverse bit for bit
     for r in (1, 2, 5, 10):
-        grams = [gram(rand_complex(rng, 40 + 7 * r, r)) for _ in range(2)]
-        w, Q = _hermitian_eigh(np.stack(grams))
-        for i, G in enumerate(grams):
-            assert _inverse_from_eigh(w[i], Q[i]).tobytes() == gram_inverse(G).tobytes()
+        factors = [rand_complex(rng, 40 + 7 * r, r) for _ in range(2)]
+        for A, inverse in zip(factors, carried_inverses(*factors)):
+            alone = _inverse_from_eigh(*_hermitian_eigh(gram(A)))
+            assert inverse.tobytes() == alone.tobytes()
     with pytest.raises(DegenerateGramError, match="degenerate factor Gram matrix"):
         A = rand_complex(rng, 8, 3)
         A[:, 2] = A[:, 1]
@@ -77,15 +90,15 @@ def test_inverse_nonfinite_and_overflowing_gram_quietly():
     # entries is inverted without one
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DegenerateGramError, match="non-finite"):
-            gram_inverse(np.diag([np.nan, 1.0, 1.0]).astype(complex))
+        nan_factor = np.eye(3, dtype=complex)
+        nan_factor[0, 0] = np.nan
+        assert Factors(nan_factor, np.eye(3)).eig is None
         A = 1e80 * np.diag(np.sqrt([3.0, 2.0, 1.0])).astype(complex)
-        np.testing.assert_allclose(gram_inverse(gram(A)), np.diag([1 / 3, 1 / 2, 1.0]) * 1e-160)
+        for inverse in carried_inverses(A, A):
+            np.testing.assert_allclose(inverse, np.diag([1 / 3, 1 / 2, 1.0]) * 1e-160)
     # a factor with finite entries whose Gram overflows to inf
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-        DegenerateGramError, match="non-finite"
-    ):
-        gram_inverse(gram(1e200 * np.ones((4, 3), dtype=complex)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert Factors(1e200 * np.ones((4, 3), dtype=complex), np.eye(3)).eig is None
 
 
 def test_residual_bounds_over_many_seeds():
@@ -94,7 +107,21 @@ def test_residual_bounds_over_many_seeds():
         rng = np.random.default_rng(seed)
         r = int(rng.integers(2, 9))
         A = np.vstack([rand_complex(rng, r, r), np.eye(r)])  # Gram B^H B + I, safely invertible
-        assert rel_err(gram(A) @ gram_inverse(gram(A)), np.eye(r)) <= 1e-8
+        inv_a, _ = carried_inverses(A, A)
+        assert rel_err(gram(A) @ inv_a, np.eye(r)) <= 1e-8
+
+
+@pytest.mark.parametrize("rank", [2.0, True, np.nan, "2"])
+def test_non_integer_rank_rejected_where_it_enters(rank):
+    # numpy refused a float or bool rank only deep inside, with a TypeError
+    with pytest.raises(ValueError, match="rank must be an integer >= 1"):
+        truncated_svd(lambda V: V, lambda U: U, 4, 4, rank)
+    n = 31
+    pattern = sample_pattern(n, n, WITHOUT_REPLACEMENT, seed=0)
+    with pytest.raises(ValueError, match="rank must be an integer >= 1"):
+        spectral_init(np.ones(n), pattern, HankelShape.square(n), rank, 0.0)
+    tsvd = truncated_svd(lambda V: V, lambda U: U, 4, 4, np.int64(2))
+    assert tsvd.S.shape == (2,)
 
 
 def test_truncated_svd_rank_one_hankel():

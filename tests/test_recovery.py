@@ -27,7 +27,7 @@ from hankelx.recovery import (
     spectral_init,
 )
 from hankelx.hankel import _factor_products, _lowrank_spectra, _sqrt_counts
-from hankelx.linalg import gram_inverse
+from hankelx.linalg import DegenerateGramError, _hermitian_eigh, _inverse_from_eigh
 from hankelx.recovery import _plain_gd_step, _refresh
 from hankelx.sampling import (
     WITHOUT_REPLACEMENT,
@@ -133,18 +133,19 @@ def test_project_incoherence_identity_within_bound(rng):
     R = rand_complex(rng, 11, 2)
     big = 10 * row_cross_norms(L, R)
     out = project_incoherence(L, R, big)
-    # an unclipped side is the input array itself, with its Gram handed on
+    # an unclipped pair is the input arrays themselves, with their Grams handed on
     assert out.L is L and out.R is R
     assert out.clipped_rows == 0
-    np.testing.assert_array_equal(out.gram_l, L.conj().T @ L)
-    np.testing.assert_array_equal(out.gram_r, R.conj().T @ R)
-    # a clipped side is a scaled copy and hands on no Gram
+    np.testing.assert_array_equal(out.grams[0], L.conj().T @ L)
+    np.testing.assert_array_equal(out.grams[1], R.conj().T @ R)
+    # a clipped side is a scaled copy and hands on its own Gram
     row_l = np.sqrt(np.einsum("ij,ij->i", L @ (R.conj().T @ R), L.conj()).real)
     row_r = np.sqrt(np.einsum("ij,ij->i", R @ (L.conj().T @ L), R.conj()).real)
     bound = 0.999 * row_l.max()
     L_in = L.copy()
     out = project_incoherence(L, R, bound)
-    assert out.L is not L and out.gram_l is None
+    assert out.L is not L
+    assert out.grams[0].tobytes() == (out.L.conj().T @ out.L).tobytes()
     np.testing.assert_array_equal(L, L_in)
     scale = np.where(row_l > bound, bound / row_l, 1.0)
     np.testing.assert_array_equal(out.L, scale[:, None] * L)
@@ -153,6 +154,11 @@ def test_project_incoherence_identity_within_bound(rng):
         over = np.count_nonzero(row_l > bound) + np.count_nonzero(row_r > bound)
         assert over > 0
         assert project_incoherence(L, R, bound).clipped_rows == over
+
+
+def test_project_incoherence_names_a_shape_mismatch():
+    with pytest.raises(ValueError, match="factor shapes are inconsistent"):
+        project_incoherence(np.ones((4, 2)), np.ones((3, 3)), 1.0)
 
 
 def test_project_incoherence_scalar_case():
@@ -338,7 +344,7 @@ def test_steps_match_public_product_reference():
 
 def _longhand_update(state, pattern, shape, config, sigma1=None):
     """The step's arithmetic written out: eta scales the gradients, each Gram is
-    formed afresh and inverted by gram_inverse; plain descent when sigma1 is given."""
+    formed afresh and inverted from its own eigh; plain descent when sigma1 is given."""
     L, R = state.factors.L, state.factors.R
     direction = WeightedSignal(shape, state.gap / pattern.rate - state.z.z)
     grad_l, grad_r = _factor_products(direction, state.spectra)
@@ -349,7 +355,7 @@ def _longhand_update(state, pattern, shape, config, sigma1=None):
         grad_r += R @ gram_l
         return L - step * grad_l, R - step * grad_r
     eta = config.eta
-    inv_gram_r, inv_gram_l = gram_inverse(gram_r), gram_inverse(gram_l)
+    inv_gram_r, inv_gram_l = (_inverse_from_eigh(*_hermitian_eigh(G)) for G in (gram_r, gram_l))
     grad_l *= eta
     grad_r *= eta
     new_l = (1.0 - eta) * L
@@ -410,26 +416,32 @@ def test_steps_match_longhand_arithmetic_bitwise(monkeypatch, n, r, seed):
         want = _longhand_step(plain, f_obs, pattern, shape, config, sigma1)
         plain = _plain_gd_step(plain, f_obs, pattern, shape, config, sigma1)
         _assert_same_bytes(plain, want)
-    assert state.factors.eig_l is not None and state.factors.eig_r is not None
+    assert state.factors.eig is not None
     assert exact_sides == []  # these iterates sit well inside the ball
 
     # a radius within 1e-12 of the largest row norm of the next update: the
     # screen cannot clear that side, and the exact norms decide
     for step_sigma1, st in ((None, state), (sigma1, plain)):
+        if step_sigma1 is None:
+            step = lambda s: hsnld_step(s, f_obs, pattern, shape, config)
+        else:
+            step = lambda s: _plain_gd_step(s, f_obs, pattern, shape, config, step_sigma1)
         new_l, new_r = _longhand_update(st, pattern, shape, config, step_sigma1)
         gram_l, gram_r = new_l.conj().T @ new_l, new_r.conj().T @ new_r
         peak = max(_exact_row_norms(new_l, gram_r).max(), _exact_row_norms(new_r, gram_l).max())
         for rel, clips in ((1 + 1e-12, False), (1 - 1e-12, True)):
             near = replace(st, bound=peak * rel)
             want = _longhand_step(near, f_obs, pattern, shape, config, step_sigma1)
-            if step_sigma1 is None:
-                got = hsnld_step(near, f_obs, pattern, shape, config)
-            else:
-                got = _plain_gd_step(near, f_obs, pattern, shape, config, step_sigma1)
+            got = step(near)
             assert (got.factors.clipped_rows > 0) == clips
             assert exact_sides
             exact_sides.clear()
             _assert_same_bytes(got, want)
+        # one more step from the clipped state, whose Grams and inverses come
+        # from the Factors the projection built for the clipped pair
+        _assert_same_bytes(step(got), _longhand_step(got, f_obs, pattern, shape, config,
+                                                     step_sigma1))
+        exact_sides.clear()
 
 
 def test_transform_budget(monkeypatch):
@@ -493,20 +505,18 @@ def test_steps_and_products_leave_inputs_unmodified():
 
 
 def test_carried_grams_change_no_bit():
-    # a step reuses the Grams and the eigendecompositions the projection
-    # formed; forming the Grams afresh from the same factors and inverting them
-    # with gram_inverse must give the same bytes
+    # a step reuses the Grams and the stacked eigendecomposition the
+    # projection's Factors formed; each Gram formed afresh and inverted from
+    # its own eigh, and a bare Factors of copied arrays, give the same bytes
     shape, pattern, f_obs, config, sigma1, state = _mid_solve_state(255, 5, 185)
     carried = state.factors
-    assert carried.gram_l is not None and carried.gram_r is not None
-    assert carried.eig_l is not None and carried.eig_r is not None
-    for gram, (w, Q) in ((carried.gram_l, carried.eig_l), (carried.gram_r, carried.eig_r)):
-        inverse = (Q * (1.0 / w)) @ Q.conj().T
-        assert inverse.tobytes() == gram_inverse(gram).tobytes()
+    w, Q = carried.eig
+    for i, A in enumerate((carried.L, carried.R)):
+        inverse = (Q[i] * (1.0 / w[i])) @ Q[i].conj().T
+        alone = _inverse_from_eigh(*_hermitian_eigh(A.conj().T @ A))
+        assert inverse.tobytes() == alone.tobytes()
     bare = _refresh(Factors(carried.L.copy(), carried.R.copy()), f_obs,
                     pattern, shape, config, state.iteration, state.bound)
-    assert bare.factors.gram_l is None and bare.factors.gram_r is None
-    assert bare.factors.eig_l is None and bare.factors.eig_r is None
     for step in (
         lambda st: hsnld_step(st, f_obs, pattern, shape, config),
         lambda st: _plain_gd_step(st, f_obs, pattern, shape, config, sigma1),
@@ -679,12 +689,28 @@ def test_run_hsnld_degenerate_gram_raises():
     pattern = sample_pattern(n, n, WITHOUT_REPLACEMENT, seed=99)
     f_obs = project_obs(sig.z, pattern)
     config = RecoveryConfig(rank=2, alpha=0.0, max_iters=10, tol_residual=1e-16)
-    # the inverse comes from the eigendecomposition the init's projection
-    # carried, and refuses it with gram_inverse's message
+    # the inverse comes from the eigendecomposition the init's Factors
+    # carries, and the eigenvalue ratio below 1e-12 refuses it
     init = spectral_init(f_obs, pattern, sig.shape, 2, 0.0, seed=config.seed)
-    assert init.factors.eig_l is not None and init.factors.eig_r is not None
+    assert init.factors.eig is not None
     with pytest.raises(SolverError, match=r"^degenerate factor Gram matrix \(iteration 0\)$"):
         run_hsnld(f_obs, pattern, sig.shape, config)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e200])
+def test_hsnld_step_refuses_a_zero_or_nonfinite_gram(scale):
+    # a zero Gram, or one that overflows to inf, carries no eigendecomposition;
+    # the step refuses it at the iteration it was asked to take
+    shape, pattern, f_obs, config, sigma1, state = _mid_solve_state(255, 5, 197)
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = Factors(np.full_like(state.factors.L, scale),
+                          np.full_like(state.factors.R, scale))
+    assert factors.eig is None
+    message = r"^degenerate factor Gram matrix \(zero or non-finite input\) \(iteration 4\)$"
+    with pytest.raises(SolverError, match=message) as raised:
+        hsnld_step(replace(state, factors=factors, iteration=4), f_obs, pattern, shape, config)
+    assert raised.value.iteration == 4
+    assert isinstance(raised.value.__cause__, DegenerateGramError)
 
 
 def _clipping_instance():
