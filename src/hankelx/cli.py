@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .hankel import HankelShape, WeightedSignal
-from .linalg import DegenerateGramError
+from .linalg import DegenerateGramError, _check_rank
 from .recovery import RecoveryConfig, RecoveryReport, run_hsnld, run_plain_gd
 from .sampling import WITHOUT_REPLACEMENT, ObservationPattern, sample_pattern
 from .signals import (
@@ -287,21 +287,18 @@ def _sample_count(p: float, n: int) -> int:
 def _solver_config(
     params: dict, shape: HankelShape, rank, alpha, seed, bound="auto"
 ) -> RecoveryConfig:
-    """Checked solver settings shared by every command; the solver seed derives from ``seed``."""
-    if rank > min(shape.n1, shape.n2):
-        raise ConfigError(f"rank {rank} not in [1, {min(shape.n1, shape.n2)}]")
-    config = RecoveryConfig(
-        rank=rank,
-        alpha=alpha,
-        eta=params["eta"],
-        incoherence_bound=bound,
-        max_iters=params["max_iters"],
-        tol_residual=params["tol_residual"],
-        seed=derive_seed(seed, "solver"),
-    )
+    """Checked solver settings for every command (bad ones exit 2); solver seed from ``seed``."""
     with _rejected_input():
-        config.validate()
-    return config
+        _check_rank(rank, shape.n1, shape.n2)
+        return RecoveryConfig(
+            rank=rank,
+            alpha=alpha,
+            eta=params["eta"],
+            incoherence_bound=bound,
+            max_iters=params["max_iters"],
+            tol_residual=params["tol_residual"],
+            seed=derive_seed(seed, "solver"),
+        )
 
 
 def _trial(params, runner, trial_seed, rank, kappa, m, alpha):

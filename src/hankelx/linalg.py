@@ -36,6 +36,19 @@ def _check_integer(name: str, value, low: int):
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def _check_rank(rank, n1: int, n2: int):
+    """Refuse a rank that is not an integer in [1, min(n1, n2)]."""
+    _check_integer("rank", rank, 1)
+    if rank > min(n1, n2):
+        raise ValueError(f"rank {rank} not in [1, {min(n1, n2)}]")
+
+
+def _check_fraction(name: str, value):
+    """Refuse a fraction outside [0, 1], NaN included; roundoff just above 1 passes."""
+    if not 0.0 <= value < 1.0 + 1e-12:
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+
+
 def _hermitian_eigh(G: np.ndarray):
     """``eigh`` of G's Hermitian part; a stack of matrices gives each one's own bytes."""
     # eigh reads one triangle; average both, since the product's roundoff may differ
@@ -88,9 +101,7 @@ def truncated_svd(
     (Halko, Martinsson and Tropp, SIAM Review 2011); more passes cost two
     block products each and save the solver no iterations.
     """
-    _check_integer("rank", rank, 1)
-    if rank > min(n1, n2):
-        raise ValueError(f"rank {rank} not in [1, {min(n1, n2)}]")
+    _check_rank(rank, n1, n2)
     width = min(rank + max(10, 2 * rank), min(n1, n2))
     rng = np.random.default_rng(seed)
 

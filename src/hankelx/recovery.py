@@ -35,7 +35,9 @@ from .hankel import (
 from .linalg import (
     DegenerateGramError,
     truncated_svd,
+    _check_fraction,
     _check_integer,
+    _check_rank,
     _hermitian_eigh,
     _inverse_from_eigh,
     _invertible_input,
@@ -125,7 +127,7 @@ def default_gamma(k: int) -> float:
 
 @dataclass(frozen=True)
 class RecoveryConfig:
-    """All solver knobs."""
+    """All solver knobs; a bad one raises ValueError when built (``dataclasses.replace`` too)."""
 
     rank: int
     alpha: float
@@ -135,12 +137,11 @@ class RecoveryConfig:
     tol_residual: float = 1e-5
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         # a fractional or NaN max_iters is never reached, so the solve never stops
         for name, low in (("rank", 1), ("max_iters", 0)):
             _check_integer(name, getattr(self, name), low)
-        if not 0.0 <= self.alpha < 1.0 + 1e-12:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+        _check_fraction("alpha", self.alpha)
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
         _check_radius(self.incoherence_bound, "incoherence_bound")
@@ -297,26 +298,23 @@ def spectral_init(
 ) -> InitResult:
     """One-shot initialization: clean, rescale, truncate, project.
 
-    The largest ceil(alpha*m) observed entries (by raw magnitude, see
-    :func:`_sparsify`) are treated as outliers and removed, the remainder is
-    scaled by 1/p to compensate for sampling, and the top-rank SVD of the
-    resulting implicit Hankel matrix seeds the factors.  When ``bound`` is "auto" the
-    incoherence radius is estimated from the leading singular vectors' row
-    norms and the top singular value.
+    The largest ceil(alpha*m) observed entries (:func:`keep_count` at gamma 1;
+    ranked by raw magnitude, see :func:`_sparsify`) are treated as outliers
+    and removed, the remainder is scaled by 1/p to compensate for sampling,
+    and the top-rank SVD of the resulting implicit Hankel matrix seeds the
+    factors.  When ``bound`` is "auto" the incoherence radius is estimated
+    from the leading singular vectors' row norms and the top singular value.
     """
     f_obs = np.asarray(f_obs, dtype=np.complex128)
     n1, n2, n = shape.n1, shape.n2, shape.n
     if f_obs.shape != (n,):
         raise ValueError(f"expected length {n}, got {f_obs.shape}")
-    _check_integer("rank", rank, 1)
-    if rank > min(n1, n2):
-        raise ValueError(f"rank {rank} not in [1, {min(n1, n2)}]")
-    if not 0.0 <= alpha < 1.0 + 1e-12:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    _check_rank(rank, n1, n2)
+    _check_fraction("alpha", alpha)
     _check_radius(bound, "bound")
     _check_supported(f_obs, pattern)
 
-    s0 = _sparsify(f_obs, math.ceil(alpha * pattern.m), shape)
+    s0 = _sparsify(f_obs, keep_count(1.0, alpha, pattern.m, n), shape)
 
     cleaned = WeightedSignal(shape, (f_obs - s0.s) / pattern.rate)
     tsvd = truncated_svd(
@@ -428,7 +426,6 @@ def _run(
     config: RecoveryConfig,
     ground_truth: np.ndarray | None = None,
 ) -> RecoveryReport:
-    config.validate()
     f_obs = np.asarray(f_obs, dtype=np.complex128)
     start = time.perf_counter()
     init = spectral_init(

@@ -134,10 +134,11 @@ def top_k_threshold(v, k: int) -> SparseEstimate:
 
 
 def keep_count(gamma: float, alpha: float, m: int, n: int) -> int:
-    """Sparsification budget ceil(gamma * alpha * m), clamped to [0, n].
+    """Outlier budget ceil(gamma * alpha * m), clamped to [0, n]; the package's one budget rule.
 
-    A tiny slack keeps float roundoff in the product from bumping an exact
-    integer budget up by one.
+    Iteration k keeps gamma_k alpha m entries; the spectral initialization (gamma 1)
+    removes alpha m and the generator (gamma 1, clamped at m) plants alpha m.  A tiny
+    slack keeps float roundoff in the product from bumping an exact budget up by one.
     """
     return int(min(max(math.ceil(gamma * alpha * m - 1e-9), 0), n))
 

@@ -22,8 +22,8 @@ from .hankel import (
     reweight,
     unweight,
 )
-from .linalg import truncated_svd
-from .sampling import ObservationPattern, SparseEstimate, project_obs
+from .linalg import truncated_svd, _check_fraction, _check_rank
+from .sampling import ObservationPattern, SparseEstimate, keep_count, project_obs
 
 __all__ = [
     "SpectralModel",
@@ -62,8 +62,7 @@ class OutlierSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha < 1.0 + 1e-12:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+        _check_fraction("alpha", self.alpha)
         if not math.isfinite(self.magnitude_scale):
             raise ValueError(f"magnitude_scale must be finite, got {self.magnitude_scale}")
 
@@ -88,8 +87,7 @@ def spectral_signal(
     Ill-conditioning comes from the amplitude spread.
     """
     shape = HankelShape.square(n)
-    if r < 1 or r > min(shape.n1, shape.n2):
-        raise ValueError(f"rank {r} not in [1, {min(shape.n1, shape.n2)}]")
+    _check_rank(r, shape.n1, shape.n2)
     # an infinite kappa would give the weakest tone amplitude 0 and drop a rank
     if not (math.isfinite(kappa) and kappa >= 1):
         raise ValueError(f"kappa must be finite and >= 1, got {kappa}")
@@ -133,7 +131,7 @@ def doa_signal(n: int, thetas_deg, gains=None) -> WeightedSignal:
 def inject_outliers(
     z_true: WeightedSignal, pattern: ObservationPattern, spec: OutlierSpec
 ) -> tuple[np.ndarray, SparseEstimate]:
-    """Corrupt ceil(alpha*m) distinct observed entries with uniform complex spikes.
+    """Corrupt ceil(alpha*m) distinct observed entries (:func:`keep_count`) with uniform spikes.
 
     Real and imaginary parts are drawn uniformly over +-scale * mean(|Re|)
     and +-scale * mean(|Im|) of the clean signal.  Returns the observed vector
@@ -144,7 +142,7 @@ def inject_outliers(
         raise ValueError("pattern length does not match signal")
     rng = np.random.default_rng(spec.seed)
     m = pattern.m
-    count = math.ceil(spec.alpha * m)
+    count = keep_count(1.0, spec.alpha, m, m)
     s = np.zeros(n, dtype=np.complex128)
     if count > 0:
         observed = pattern.observed_set()
@@ -173,8 +171,7 @@ class ConditionEstimate:
 def condition_number(sig: WeightedSignal, r: int, seed: int = 0) -> ConditionEstimate:
     """Condition number of the rank-r embedded Hankel matrix."""
     n1, n2 = sig.shape.n1, sig.shape.n2
-    if r < 1 or r > min(n1, n2):
-        raise ValueError(f"rank {r} not in [1, {min(n1, n2)}]")
+    _check_rank(r, n1, n2)
     probe = r + 1 if r + 1 <= min(n1, n2) else r
     tsvd = truncated_svd(
         matvec=lambda V: hankel_matmat(sig, V),

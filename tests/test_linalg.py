@@ -8,6 +8,7 @@ from hankelx.linalg import DegenerateGramError, truncated_svd
 from hankelx.linalg import _hermitian_eigh, _inverse_from_eigh
 from hankelx.recovery import Factors, spectral_init
 from hankelx.sampling import WITHOUT_REPLACEMENT, sample_pattern
+from hankelx.signals import condition_number, spectral_signal
 
 from conftest import rand_complex, rel_err
 
@@ -120,6 +121,12 @@ def test_non_integer_rank_rejected_where_it_enters(rank):
     pattern = sample_pattern(n, n, WITHOUT_REPLACEMENT, seed=0)
     with pytest.raises(ValueError, match="rank must be an integer >= 1"):
         spectral_init(np.ones(n), pattern, HankelShape.square(n), rank, 0.0)
+    # condition_number named its probe rank r + 1, not the rank it was given
+    sig, _ = spectral_signal(64, 3, 2.0, seed=0)
+    with pytest.raises(ValueError, match=rf"rank must be an integer >= 1, got {rank!r}$"):
+        condition_number(sig, rank)
+    with pytest.raises(ValueError, match="rank must be an integer >= 1"):
+        spectral_signal(64, rank, 2.0, seed=0)
     tsvd = truncated_svd(lambda V: V, lambda U: U, 4, 4, np.int64(2))
     assert tsvd.S.shape == (2,)
 

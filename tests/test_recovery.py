@@ -70,33 +70,36 @@ def test_default_gamma_schedule():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        RecoveryConfig(rank=0, alpha=0.1).validate()
+    # a config is checked when it is built, so no invalid one reaches a step
+    with pytest.raises(ValueError, match="rank must be an integer >= 1, got 0"):
+        RecoveryConfig(rank=0, alpha=0.1)
     for rank in (2.0, True, np.nan, "2"):
         with pytest.raises(ValueError, match="rank must be an integer"):
-            RecoveryConfig(rank=rank, alpha=0.1).validate()
+            RecoveryConfig(rank=rank, alpha=0.1)
     for max_iters in (2.5, np.nan, np.inf, True, -1, 10.0):
         with pytest.raises(ValueError, match="max_iters must be an integer"):
-            RecoveryConfig(rank=1, alpha=0.1, max_iters=max_iters).validate()
-    RecoveryConfig(rank=np.int64(2), alpha=0.1, max_iters=np.int32(0)).validate()
-    with pytest.raises(ValueError):
-        RecoveryConfig(rank=1, alpha=0.1, eta=1.5).validate()
+            RecoveryConfig(rank=1, alpha=0.1, max_iters=max_iters)
+    RecoveryConfig(rank=np.int64(2), alpha=0.1, max_iters=np.int32(0))
+    for alpha in (-0.1, 1.5, np.nan):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            RecoveryConfig(rank=1, alpha=alpha)
+    with pytest.raises(ValueError, match=r"eta must lie in \[0, 1\], got 1.5"):
+        RecoveryConfig(rank=1, alpha=0.1, eta=1.5)
     for bound in (-1.0, 0.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="incoherence_bound"):
-            RecoveryConfig(rank=1, alpha=0.1, incoherence_bound=bound).validate()
+            RecoveryConfig(rank=1, alpha=0.1, incoherence_bound=bound)
     for tol in (-1e-5, np.nan, np.inf):
         with pytest.raises(ValueError, match="tol_residual"):
-            RecoveryConfig(rank=1, alpha=0.1, tol_residual=tol).validate()
-    RecoveryConfig(rank=1, alpha=0.1, incoherence_bound=2.0, tol_residual=0.0).validate()
+            RecoveryConfig(rank=1, alpha=0.1, tol_residual=tol)
+    cfg = RecoveryConfig(rank=1, alpha=0.1, incoherence_bound=2.0, tol_residual=0.0)
+    with pytest.raises(ValueError, match="eta must lie in"):
+        replace(cfg, eta=3.0)
 
 
 def test_fractional_max_iters_is_refused_before_solving():
     # iteration == 2.5 is never true: with no residual stop the solve never ended
-    sig, pattern, f_obs, _ = make_instance(63, 2, 2.0, 63, 0.0, 173)
-    config = RecoveryConfig(rank=2, alpha=0.0, max_iters=2.5, tol_residual=0.0)
-    for solve in (run_hsnld, run_plain_gd):
-        with pytest.raises(ValueError, match="max_iters"):
-            solve(f_obs, pattern, sig.shape, config)
+    with pytest.raises(ValueError, match="max_iters must be an integer"):
+        RecoveryConfig(rank=2, alpha=0.0, max_iters=2.5, tol_residual=0.0)
 
 
 @pytest.mark.parametrize("bound", [-1.0, 0.0, -0.0, np.nan, np.inf, -np.inf])
@@ -643,6 +646,22 @@ def test_run_hsnld_with_replacement_diagnostic_mode():
     report = run_hsnld(f_obs, pattern, sig.shape, config, ground_truth=sig.z)
     assert report.termination == "residual_tol"
     assert report.final_error <= 1e-3
+
+
+def test_spectral_init_removes_the_keep_count_budget(monkeypatch):
+    # 0.07 * 100 = 7.000000000000001, whose plain ceil removed an eighth entry
+    n, r, alpha, m = 255, 3, 0.07, 100
+    sig, pattern, f_obs, _ = make_instance(n, r, 2.0, m, alpha, 163)
+    budgets = []
+    sparsify = recovery._sparsify
+
+    def spy(residual, k, shape):
+        budgets.append(k)
+        return sparsify(residual, k, shape)
+
+    monkeypatch.setattr(recovery, "_sparsify", spy)
+    spectral_init(f_obs, pattern, sig.shape, r, alpha, seed=0)
+    assert budgets == [keep_count(1.0, alpha, m, n)] == [7]
 
 
 def test_refresh_ranks_outliers_by_raw_magnitude():

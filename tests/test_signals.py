@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from hankelx.hankel import HankelShape, hankel_dense, unweight
-from hankelx.sampling import WITHOUT_REPLACEMENT, project_obs, sample_pattern
+from hankelx.sampling import (
+    WITH_REPLACEMENT,
+    WITHOUT_REPLACEMENT,
+    project_obs,
+    sample_pattern,
+)
 from hankelx.signals import (
     OutlierSpec,
     condition_number,
@@ -136,6 +141,23 @@ def test_inject_outliers_counts_and_support():
 
     f_all, s_all = inject_outliers(sig, pat, OutlierSpec(1.0, 10.0, 12))
     assert np.count_nonzero(s_all.s) == 50
+
+
+def test_inject_outliers_plants_no_roundoff_extra():
+    # 0.07 * 100 = 7.000000000000001, whose plain ceil planted 8 outliers
+    sig, _ = spectral_signal(255, 3, 2.0, seed=16)
+    pat = sample_pattern(255, 100, WITHOUT_REPLACEMENT, seed=17)
+    _, s = inject_outliers(sig, pat, OutlierSpec(0.07, 10.0, 18))
+    assert np.count_nonzero(s.s) == 7
+
+
+def test_inject_outliers_refuses_more_than_the_distinct_observed():
+    # with replacement, m = 100 draws over n = 31 see at most 31 distinct entries
+    sig, _ = spectral_signal(31, 2, 2.0, seed=19)
+    pat = sample_pattern(31, 100, WITH_REPLACEMENT, seed=20)
+    distinct = pat.observed_set().size
+    with pytest.raises(ValueError, match=f"cannot corrupt 50 entries; only {distinct} observed"):
+        inject_outliers(sig, pat, OutlierSpec(0.5, 10.0, 21))
 
 
 def test_inject_outliers_deterministic():
