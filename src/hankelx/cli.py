@@ -9,11 +9,12 @@ Every key, the global ``config``, ``seed``, ``threads`` and ``out`` included,
 may be given as ``key=value``, ``--key value`` or ``--key=value``.  Each
 parameter takes the first of: the command line, the JSON ``--config`` file,
 the command's default.  The file cannot set ``config``, ``threads`` or ``out``;
-unknown keys are rejected.  Every output (CSV with LF endings and '.' decimal
-separators, JSON with a stable key order) is a pure function of the seed and
-configuration: grid trials derive per-cell seeds by hashing and run in order
-on the calling thread.  ``--threads N`` is accepted for compatibility and
-checked (N >= 1); it does not change how or what a command computes.
+unknown keys are rejected.  A key left out is worked out by the command; a
+value given to a key the run uses runs as given or exits 2.  Every output (CSV
+with LF endings and '.' decimal separators, JSON with a stable key order) is a
+pure function of the seed and configuration: grid trials derive per-cell seeds
+by hashing and run in order on the calling thread.  ``--threads N`` is accepted
+for compatibility and checked (N >= 1); it does not change how or what a command computes.
 ``phase`` and ``converge`` run each synthetic trial through one function and
 write ``trials.csv``, one named outcome per trial.  A summary's ``seconds`` is
 the solver's own clock, the one behind the trace's ``ms`` column.
@@ -38,7 +39,7 @@ import numpy as np
 from .hankel import HankelShape, WeightedSignal
 from .linalg import DegenerateGramError, _check_rank
 from .recovery import RecoveryConfig, RecoveryReport, run_hsnld, run_plain_gd
-from .sampling import WITHOUT_REPLACEMENT, ObservationPattern, sample_pattern
+from .sampling import WITHOUT_REPLACEMENT, ObservationPattern, _ceil_count, sample_pattern
 from .signals import (
     OutlierSpec,
     doa_signal,
@@ -78,31 +79,25 @@ def _parse_bound(text):
     return float(text)
 
 
-def _parse_trials(value):
-    trials = _parse_int("trials", value)
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    return trials
-
-
+# a None default means "not given"; no value given is ever read as that
 _SCHEMAS = {
     "gen": {
         "kind": (str, None),
         "n": (int, None),
-        "r": (int, 0),
+        "r": (int, None),
         "kappa": (float, 1.0),
         "thetas": (_parse_float_list, [87.0, 87.1, 87.3]),
         "gains": (_parse_float_list, None),
-        "m": (int, 0),
-        "p": (float, 0.0),
+        "m": (int, None),
+        "p": (float, None),
         "alpha": (float, 0.0),
-        "magnitude_scale": (float, -1.0),
+        "magnitude_scale": (float, None),
         "mode": (str, WITHOUT_REPLACEMENT),
     },
     "recover": {
         "input": (str, None),
-        "r": (int, 0),
-        "alpha": (float, -1.0),
+        "r": (int, None),
+        "alpha": (float, None),
         "eta": (float, 0.5),
         "bound": (_parse_bound, "auto"),
         "max_iters": (int, 1000),
@@ -116,7 +111,7 @@ _SCHEMAS = {
         "solvers": (_parse_str_list, ["hsnld", "plaingd"]),
         "p": (float, 0.8),
         "alpha": (float, 0.05),
-        "trials": (_parse_trials, 5),
+        "trials": (lambda value: _parse_int("trials", value, 1), 5),
         "eta": (float, 0.5),
         "max_iters": (int, 1000),
         "tol_residual": (float, 1e-5),
@@ -126,12 +121,12 @@ _SCHEMAS = {
         "n": (int, 125),
         "r": (int, 10),
         "kappa": (float, 10.0),
-        "m": (int, 0),
+        "m": (int, None),
         "alpha": (float, 0.0),
         "m_values": (_parse_float_list, []),
         "alpha_values": (_parse_float_list, []),
         "r_values": (_parse_float_list, []),
-        "trials": (_parse_trials, 20),
+        "trials": (lambda value: _parse_int("trials", value, 1), 20),
         "eta": (float, 0.5),
         "max_iters": (int, 1000),
         "tol_residual": (float, 1e-5),
@@ -143,7 +138,7 @@ _SCHEMAS = {
     "doa": {
         "n": (int, 4096),
         "thetas": (_parse_float_list, [87.0, 87.1, 87.3]),
-        "r": (int, 0),
+        "r": (int, None),
         "p": (float, 0.015),
         "alpha": (float, 0.10),
         "magnitude_scale": (float, 1.0),
@@ -192,13 +187,17 @@ def _parse_overrides(tokens: list[str]) -> dict:
     return raw
 
 
-def _parse_int(name: str, value) -> int:
+def _parse_int(name: str, value, low: int | None = None) -> int:
+    """The CLI's one integer rule: no bool or fraction, and at least ``low`` when given."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     try:
-        return int(value)
+        number = int(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
+    if low is not None and number < low:
+        raise ConfigError(f"{name} must be >= {low}, got {number}")
+    return number
 
 
 def derive_seed(*parts) -> int:
@@ -278,10 +277,10 @@ def _observe(sig, m, mode, alpha, magnitude_scale, seed):
 
 
 def _sample_count(p: float, n: int) -> int:
-    """Entries observed at sampling rate ``p`` of ``n``: ceil(p * n)."""
+    """Entries observed at sampling rate ``p`` of ``n``: ceil(p * n), as counts round."""
     if not math.isfinite(p):
         raise ConfigError(f"p must be finite, got {p}")
-    return math.ceil(p * n)
+    return _ceil_count(p * n)
 
 
 def _solver_config(
@@ -344,13 +343,12 @@ def cmd_gen(params: dict, seed: int, out: Path) -> int:
             sig = doa_signal(n, params["thetas"], params["gains"])
             r = len(params["thetas"])
 
-    m = params["m"] if params["m"] > 0 else _sample_count(params["p"], n)
-    if m <= 0:  # neither m nor a positive p given: observe every entry
-        m = n
-    alpha = params["alpha"]
-    scale = params["magnitude_scale"]
-    if scale < 0:
+    m, p, scale = params["m"], params["p"], params["magnitude_scale"]
+    if m is None:  # m beats p; with neither, every entry is observed
+        m = n if p is None else _sample_count(p, n)
+    if scale is None:
         scale = 10.0 if kind == "spectral" else 1.0
+    alpha = params["alpha"]
 
     pattern, f_obs, s_true = _observe(sig, m, params["mode"], alpha, scale, seed)
 
@@ -407,13 +405,15 @@ def cmd_recover(params: dict, seed: int, out: Path) -> int:
         raise ConfigError("recover needs input=DIR pointing at generated files")
     with _rejected_input():
         observed, pattern, truth, meta = _load_instance_dir(Path(params["input"]))
-    # meta.json's values take the command line's casts
-    rank = params["r"] or _apply_schema("recover", {"r": meta.get("r") or 0})["r"]
-    if rank < 1:
+    # a key not given takes meta.json's value, through the command line's cast
+    meta.setdefault("alpha", 0.0)
+    rank, alpha = (
+        _apply_schema("recover", {key: meta[key]})[key]
+        if params[key] is None and key in meta else params[key]
+        for key in ("r", "alpha")
+    )
+    if rank is None:
         raise ConfigError("rank r must be given (or present in meta.json)")
-    alpha = params["alpha"]
-    if alpha < 0:
-        alpha = _apply_schema("recover", {"alpha": meta.get("alpha", 0.0)})["alpha"]
     runner = _runner(params["solver"])
     config = _solver_config(params, observed.shape, rank, alpha, seed, bound=params["bound"])
     report = runner(
@@ -479,10 +479,14 @@ def cmd_converge(params: dict, seed: int, out: Path) -> int:
 
 
 def _phase_axes(params: dict):
+    """The two axes given, as (name, values); m and r values must be integers."""
     axes = []
     for name in ("m", "alpha", "r"):
         values = params[f"{name}_values"]
         if values:
+            if name != "alpha":
+                for v in values:
+                    _parse_int(f"{name}_values", v)
             axes.append((name, values))
     if len(axes) != 2:
         raise ConfigError("phase needs exactly two of m_values/alpha_values/r_values")
@@ -494,17 +498,16 @@ def cmd_phase(params: dict, seed: int, out: Path) -> int:
     (x_axis, x_values), (y_axis, y_values) = _phase_axes(params)
     runner = _runner("hsnld")
     trials = params["trials"]
+    m = params["n"] if params["m"] is None else params["m"]
     rows, trial_rows = [], []
     for x in x_values:
         for y in y_values:
-            cell = {"m": params["m"] or params["n"], "alpha": params["alpha"], "r": params["r"],
-                    x_axis: x, y_axis: y}
+            cell = {"m": m, "alpha": params["alpha"], "r": params["r"], x_axis: x, y_axis: y}
             successes = 0
             for t in range(trials):
                 _, (termination, iterations, err) = _trial(
                     params, runner, derive_seed(seed, "phase", x_axis, x, y_axis, y, t),
-                    int(round(cell["r"])), params["kappa"], int(round(cell["m"])),
-                    float(cell["alpha"]),
+                    int(cell["r"]), params["kappa"], int(cell["m"]), float(cell["alpha"]),
                 )
                 # a success ends at the residual tolerance within SUCCESS_ERROR_TOL of the truth
                 successes += termination == "residual_tol" and err <= SUCCESS_ERROR_TOL
@@ -523,7 +526,7 @@ def cmd_phase(params: dict, seed: int, out: Path) -> int:
 def cmd_doa(params: dict, seed: int, out: Path) -> int:
     n = params["n"]
     thetas = params["thetas"]
-    rank = params["r"] or len(thetas)
+    rank = len(thetas) if params["r"] is None else params["r"]
     with _rejected_input():
         sig = doa_signal(n, thetas)
     m = _sample_count(params["p"], n)
@@ -566,10 +569,12 @@ def main(argv: list[str] | None = None) -> int:
         given = _parse_overrides(argv)
         config_file = given.pop("config", None)
         out = Path(given.pop("out", "."))
+        # refused here, since every command creates out only after its work
+        existing = next(path for path in (out, *out.parents) if path.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"out {out}: {existing} exists and is not a directory")
         # accepted and checked; trials always run on one thread
-        threads = _parse_int("threads", given.pop("threads", 1))
-        if threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {threads}")
+        _parse_int("threads", given.pop("threads", 1), 1)
         raw = {}
         if config_file:
             try:

@@ -57,13 +57,11 @@ __all__ = [
     "IterationRecord",
     "RecoveryReport",
     "SolverError",
-    "default_gamma",
     "project_incoherence",
     "spectral_init",
     "hsnld_step",
     "run_hsnld",
     "run_plain_gd",
-    "recovery_error",
 ]
 
 
@@ -120,7 +118,7 @@ class Factors:
         self.eig = _hermitian_eigh(self.grams) if _invertible_input(self.grams) else None
 
 
-def default_gamma(k: int) -> float:
+def _default_gamma(k: int) -> float:
     """Sparsification overshoot schedule, decaying toward 1 from above."""
     return 1.05 + 0.45 * 0.95**k
 
@@ -357,7 +355,7 @@ class IterateState:
 def _refresh(factors: Factors, f_obs, pattern, shape, config, iteration, bound) -> IterateState:
     """Estimates for a factor pair; outliers are ranked by raw magnitude, as in init."""
     z, spectra = _lowrank_spectra(factors.L, factors.R, shape)
-    k = keep_count(default_gamma(iteration), config.alpha, pattern.m, shape.n)
+    k = keep_count(_default_gamma(iteration), config.alpha, pattern.m, shape.n)
     s = _sparsify(f_obs - project_obs(z.z, pattern), k, shape)
     gap = project_obs(z.z + s.s, pattern) - f_obs
     return IterateState(factors, z, s, gap, iteration, bound, spectra)
@@ -397,13 +395,8 @@ def hsnld_step(
     return _refresh(factors, f_obs, pattern, shape, config, state.iteration + 1, state.bound)
 
 
-def recovery_error(z_est, z_true) -> float:
-    """Relative l2 error, equal to the relative Frobenius error of the embeddings."""
-    return _error_against(z_true)(z_est)
-
-
 def _error_against(z_true):
-    """:func:`recovery_error` against a fixed truth, whose norm is taken once."""
+    """Relative l2 error (that of the embeddings too) against a truth whose norm is taken once."""
     b = np.asarray(z_true, dtype=np.complex128)
     denom = np.linalg.norm(b)
     if denom == 0:

@@ -133,12 +133,17 @@ def top_k_threshold(v, k: int) -> SparseEstimate:
     return SparseEstimate(out)
 
 
+def _ceil_count(x: float) -> int:
+    """ceil(x), the one rounding rule for counts; its slack keeps 0.07 * 100 at 7, not 8."""
+    return math.ceil(x - 1e-9)
+
+
 def keep_count(gamma: float, alpha: float, m: int, n: int) -> int:
     """Outlier budget ceil(gamma * alpha * m), clamped to [0, n]; the package's one budget rule.
 
     Iteration k keeps gamma_k alpha m entries; the spectral initialization (gamma 1)
-    removes alpha m and the generator (gamma 1, clamped at m) plants alpha m.  A tiny
-    slack keeps float roundoff in the product from bumping an exact budget up by one.
+    removes alpha m and the generator (gamma 1, clamped at m) plants alpha m.  It rounds by
+    :func:`_ceil_count`, as sample counts do; those skip the clamp, since p may exceed 1.
     """
-    return int(min(max(math.ceil(gamma * alpha * m - 1e-9), 0), n))
+    return int(min(max(_ceil_count(gamma * alpha * m), 0), n))
 

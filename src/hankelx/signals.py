@@ -55,7 +55,7 @@ class SpectralModel:
 
 @dataclass(frozen=True)
 class OutlierSpec:
-    """Corruption recipe: fraction of observed entries and magnitude multiplier."""
+    """Corruption recipe: fraction alpha in [0, 1] of observed entries, multiplier >= 0."""
 
     alpha: float
     magnitude_scale: float = 10.0
@@ -65,6 +65,8 @@ class OutlierSpec:
         _check_fraction("alpha", self.alpha)
         if not math.isfinite(self.magnitude_scale):
             raise ValueError(f"magnitude_scale must be finite, got {self.magnitude_scale}")
+        if self.magnitude_scale < 0:
+            raise ValueError(f"magnitude_scale must be >= 0, got {self.magnitude_scale}")
 
 
 def _min_wraparound_gap(freqs: np.ndarray) -> float:

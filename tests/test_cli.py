@@ -280,13 +280,31 @@ def _short_signal(path):
     (["gen", "kind=spectral", "n=64", "r=2", "p=nan"], "p must be finite, got nan"),
     (["converge", "n=64", "r=2", "kappas=1", "trials=1", "p=nan"], "p must be finite, got nan"),
     (["gen", "kind=spectral", "n=64", "r=32"], "could not draw 32 frequencies 1/64 apart"),
+    # an explicit value is never read as "not given"
+    (["gen", "kind=spectral", "n=100", "r=2", "p=0.5", "m=0"], "m must be >= 1, got 0"),
+    (["gen", "kind=spectral", "n=100", "r=2", "p=0"], "m must be >= 1, got 0"),
+    (["gen", "kind=spectral", "n=100", "r=2", "p=-0.5"], "m must be >= 1, got -50"),
+    (["gen", "kind=spectral", "n=100", "r=2", "alpha=0.1", "magnitude_scale=-1"],
+     "magnitude_scale must be >= 0, got -1.0"),
+    (["recover", "input={gen}", "alpha=-1"], "alpha must lie in [0, 1], got -1.0"),
+    (["recover", "input={gen}", "r=-1"], "rank must be an integer >= 1, got -1"),
+    (["doa", "n=256", "r=0"], "rank must be an integer >= 1, got 0"),
+    (["phase", "n=64", "r=2", "m=0", "alpha_values=0", "r_values=2", "trials=1"],
+     "m must be >= 1, got 0"),
+    (["phase", "n=64", "r=2", "m_values=30.5,40", "alpha_values=0", "trials=1"],
+     "m_values must be an integer, got 30.5"),
+    (["phase", "n=64", "m_values=64", "r_values=2.5", "trials=1"],
+     "r_values must be an integer, got 2.5"),
 ], ids=["gen-m", "gen-alpha", "doa-p", "phase-m", "phase-r", "phase-eta", "phase-trials",
         "converge-eta", "converge-trials", "converge-solvers", "recover-r", "doa-n",
         "recover-tol-nan", "recover-bound-inf", "recover-pattern-blank-line",
         "recover-meta-not-object", "recover-meta-r", "recover-meta-alpha", "recover-truth-length",
         "recover-truth-truncated", "gen-kappa-nan", "gen-kappa-inf", "phase-kappa-nan",
         "converge-kappa-nan", "gen-scale-inf", "gen-scale-nan", "converge-scale-inf",
-        "doa-theta-nan", "gen-p-nan", "converge-p-nan", "gen-unseparable"])
+        "doa-theta-nan", "gen-p-nan", "converge-p-nan", "gen-unseparable",
+        "gen-m-zero", "gen-p-zero", "gen-p-negative", "gen-scale-negative",
+        "recover-alpha-negative", "recover-r-negative", "doa-r-zero", "phase-m-zero",
+        "phase-m-values-fraction", "phase-r-values-fraction"])
 def test_setup_rejection_exit_2(tmp_path, capsys, args, named):
     if "input={gen}" in args:
         data = tmp_path / "gen"
@@ -299,6 +317,57 @@ def test_setup_rejection_exit_2(tmp_path, capsys, args, named):
     assert run_cli(*args, "--out", str(out)) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def _arg(value):
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+# tiny runs of each command; phase takes the two axes its tested key is not
+_TINY = {
+    "gen": ["kind=spectral", "n=64", "r=2"],
+    "recover": [],
+    "converge": ["n=64", "r=2", "kappas=1", "trials=1", "max_iters=50", "solvers=hsnld"],
+    "phase": ["n=64", "r=2", "trials=1", "max_iters=50"],
+    "doa": ["n=1024", "p=0.2", "max_iters=20"],
+}
+_DEFAULTS = [(command, key, default) for command, schema in cli._SCHEMAS.items()
+             for key, (_, default) in schema.items() if default is not None]
+
+
+@pytest.mark.parametrize("command, key, default", _DEFAULTS,
+                         ids=[f"{c}-{k}" for c, k, _ in _DEFAULTS])
+def test_explicit_default_runs(tmp_path, command, key, default):
+    # a default given explicitly is a value like any other, never "not given"
+    args = list(_TINY[command])
+    if command == "recover":
+        data = tmp_path / "gen"
+        assert run_cli("gen", "--out", str(data), "kind=spectral", "n=64", "r=2") == 0
+        args.append(f"input={data}")
+    if command == "phase":
+        axes = ["m_values=64", "alpha_values=0", "r_values=2"]
+        args += [a for a in axes if not a.startswith(f"{key}=")][:2]
+    assert run_cli(command, "--out", str(tmp_path / "out"), *args, f"{key}={_arg(default)}") == 0
+
+
+@pytest.mark.parametrize("args, m", [
+    (["p=0.07"], 7),  # 0.07 * 100 is 7.000000000000001
+    (["mode=with_replacement", "p=1.5"], 150),
+])
+def test_gen_sample_count(tmp_path, args, m):
+    assert run_cli("gen", "--out", str(tmp_path), "kind=spectral", "n=100", "r=2", *args) == 0
+    assert json.loads((tmp_path / "meta.json").read_text())["m"] == m
+
+
+def test_out_that_is_not_a_directory_exit_2(tmp_path, capsys):
+    # refused before the grid runs, and the file is left as it was
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    for out in (taken, taken / "sub"):
+        assert run_cli("phase", "--out", str(out), "n=64", "r=2", "m_values=64",
+                       "alpha_values=0", "trials=1") == 2
+        assert f"{taken} exists and is not a directory" in capsys.readouterr().err
+    assert taken.read_text() == "keep"
 
 
 def test_phase_single_cell(tmp_path):

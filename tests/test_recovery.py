@@ -18,17 +18,15 @@ from hankelx.recovery import (
     Factors,
     RecoveryConfig,
     SolverError,
-    default_gamma,
     hsnld_step,
     project_incoherence,
-    recovery_error,
     run_hsnld,
     run_plain_gd,
     spectral_init,
 )
 from hankelx.hankel import _factor_products, _lowrank_spectra, _sqrt_counts
 from hankelx.linalg import DegenerateGramError, _hermitian_eigh, _inverse_from_eigh
-from hankelx.recovery import _plain_gd_step, _refresh
+from hankelx.recovery import _default_gamma, _error_against, _plain_gd_step, _refresh
 from hankelx.sampling import (
     WITHOUT_REPLACEMENT,
     keep_count,
@@ -64,9 +62,9 @@ def row_cross_norms(L, R):
 
 
 def test_default_gamma_schedule():
-    assert abs(default_gamma(0) - 1.5) <= 1e-12
-    assert default_gamma(50) > 1.0
-    assert default_gamma(10) < default_gamma(0)
+    assert abs(_default_gamma(0) - 1.5) <= 1e-12
+    assert _default_gamma(50) > 1.0
+    assert _default_gamma(10) < _default_gamma(0)
 
 
 def test_config_validation():
@@ -675,7 +673,7 @@ def test_refresh_ranks_outliers_by_raw_magnitude():
                      init.incoherence_bound)
     z = lowrank_to_signal(init.factors.L, init.factors.R, sig.shape).z
     residual = f_obs - project_obs(z, pattern)
-    k = keep_count(default_gamma(0), alpha, pattern.m, n)
+    k = keep_count(_default_gamma(0), alpha, pattern.m, n)
     sqrt_counts = np.sqrt(antidiagonal_counts(sig.shape).astype(float))
     raw = top_k_threshold(residual / sqrt_counts, k).support
     weighted = top_k_threshold(residual, k).support
@@ -789,15 +787,17 @@ def test_run_plain_gd_eta_zero_makes_no_progress():
     np.testing.assert_allclose(errs, errs[0], rtol=1e-12)
 
 
-def test_recovery_error_basics(rng):
+def test_error_against_basics(rng):
+    # the relative error every solve records against its ground truth
     z = rand_complex(rng, 40)
-    assert recovery_error(z, z) == 0.0
-    assert abs(recovery_error(np.zeros(40), z) - 1.0) <= 1e-15
-    assert abs(recovery_error(1.001 * z, z) - 1e-3) <= 1e-12
+    error = _error_against(z)
+    assert error(z) == 0.0
+    assert abs(error(np.zeros(40)) - 1.0) <= 1e-15
+    assert abs(error(1.001 * z) - 1e-3) <= 1e-12
     with pytest.raises(ValueError):
-        recovery_error(z, np.zeros(40))
+        _error_against(np.zeros(40))
     with pytest.raises(ValueError):
-        recovery_error(z, rand_complex(rng, 39))
+        error(rand_complex(rng, 39))
 
 
 def test_approx_dist_zero_at_truth():
