@@ -9,12 +9,14 @@ Every key, the global ``config``, ``seed``, ``threads`` and ``out`` included,
 may be given as ``key=value``, ``--key value`` or ``--key=value``.  Each
 parameter takes the first of: the command line, the JSON ``--config`` file,
 the command's default.  The file cannot set ``config``, ``threads`` or ``out``;
-unknown keys are rejected.  A key left out is worked out by the command; a
-value given to a key the run uses runs as given or exits 2.  Every output (CSV
-with LF endings and '.' decimal separators, JSON with a stable key order) is a
-pure function of the seed and configuration: grid trials derive per-cell seeds
-by hashing and run in order on the calling thread.  ``--threads N`` is accepted
-for compatibility and checked (N >= 1); it does not change how or what a command computes.
+unknown keys are rejected.  A key left out is worked out by the command.  A
+run refuses a key it does not read (``gen kind=doa`` reads no ``r``, ``phase``
+no ``alpha`` beside ``alpha_values``); any other value runs as given or exits
+2.  Every output (CSV with LF endings and '.' decimal separators, JSON with a
+stable key order) is a pure function of the seed and configuration: grid
+trials derive per-cell seeds by hashing and run in order on the calling
+thread.  ``--threads N`` is accepted for compatibility and checked (N >= 1);
+it does not change how or what a command computes.
 ``phase`` and ``converge`` run each synthetic trial through one function and
 write ``trials.csv``, one named outcome per trial.  A summary's ``seconds`` is
 the solver's own clock, the one behind the trace's ``ms`` column.
@@ -50,6 +52,8 @@ from .signals import (
 )
 
 SUCCESS_ERROR_TOL = 1e-3
+# the array scenario's source angles, in degrees
+_DOA_THETAS = (87.0, 87.1, 87.3)
 
 
 class ConfigError(Exception):
@@ -85,8 +89,8 @@ _SCHEMAS = {
         "kind": (str, None),
         "n": (int, None),
         "r": (int, None),
-        "kappa": (float, 1.0),
-        "thetas": (_parse_float_list, [87.0, 87.1, 87.3]),
+        "kappa": (float, None),
+        "thetas": (_parse_float_list, None),
         "gains": (_parse_float_list, None),
         "m": (int, None),
         "p": (float, None),
@@ -119,10 +123,10 @@ _SCHEMAS = {
     },
     "phase": {
         "n": (int, 125),
-        "r": (int, 10),
+        "r": (int, None),
         "kappa": (float, 10.0),
         "m": (int, None),
-        "alpha": (float, 0.0),
+        "alpha": (float, None),
         "m_values": (_parse_float_list, []),
         "alpha_values": (_parse_float_list, []),
         "r_values": (_parse_float_list, []),
@@ -137,7 +141,7 @@ _SCHEMAS = {
     # trace afterwards
     "doa": {
         "n": (int, 4096),
-        "thetas": (_parse_float_list, [87.0, 87.1, 87.3]),
+        "thetas": (_parse_float_list, _DOA_THETAS),
         "r": (int, None),
         "p": (float, 0.015),
         "alpha": (float, 0.10),
@@ -331,20 +335,28 @@ def cmd_gen(params: dict, seed: int, out: Path) -> int:
     kind = params["kind"]
     if kind not in ("spectral", "doa"):
         raise ConfigError("kind must be 'spectral' or 'doa'")
+    # each kind reads its own signal keys, and a sample count from m or from p
+    unread = ("thetas", "gains") if kind == "spectral" else ("r", "kappa")
+    unread += ("p",) if params["m"] is not None else ()
+    given = [key for key in unread if params[key] is not None]
+    if given:
+        raise ConfigError(f"gen kind={kind} does not read {', '.join(given)}")
     n = params["n"]
     if n is None or n < 2:
         raise ConfigError("n must be an integer >= 2")
     shape = HankelShape.square(n)
+    kappa = thetas = None
     with _rejected_input():
         if kind == "spectral":
-            r = params["r"]
-            sig, _ = spectral_signal(n, r, params["kappa"], seed=derive_seed(seed, "signal"))
+            r, kappa = params["r"], 1.0 if params["kappa"] is None else params["kappa"]
+            sig, _ = spectral_signal(n, r, kappa, seed=derive_seed(seed, "signal"))
         else:
-            sig = doa_signal(n, params["thetas"], params["gains"])
-            r = len(params["thetas"])
+            thetas = _DOA_THETAS if params["thetas"] is None else params["thetas"]
+            sig = doa_signal(n, thetas, params["gains"])
+            r = len(thetas)
 
     m, p, scale = params["m"], params["p"], params["magnitude_scale"]
-    if m is None:  # m beats p; with neither, every entry is observed
+    if m is None:  # with neither m nor p, every entry is observed
         m = n if p is None else _sample_count(p, n)
     if scale is None:
         scale = 10.0 if kind == "spectral" else 1.0
@@ -365,8 +377,8 @@ def cmd_gen(params: dict, seed: int, out: Path) -> int:
             "n": n,
             "n1": shape.n1,
             "r": r,
-            "kappa": params["kappa"] if kind == "spectral" else None,
-            "thetas": params["thetas"] if kind == "doa" else None,
+            "kappa": kappa,
+            "thetas": thetas,
             "m": m,
             "p": m / n,
             "alpha": alpha,
@@ -479,30 +491,29 @@ def cmd_converge(params: dict, seed: int, out: Path) -> int:
 
 
 def _phase_axes(params: dict):
-    """The two axes given, as (name, values); m and r values must be integers."""
-    axes = []
-    for name in ("m", "alpha", "r"):
-        values = params[f"{name}_values"]
-        if values:
-            if name != "alpha":
-                for v in values:
-                    _parse_int(f"{name}_values", v)
-            axes.append((name, values))
+    """The two axes, as (name, values), and the fixed m, alpha and r: n, 0 and 10 if not given."""
+    fixed = {"m": params["n"], "alpha": 0.0, "r": 10}
+    axes = [(name, params[f"{name}_values"]) for name in fixed if params[f"{name}_values"]]
     if len(axes) != 2:
         raise ConfigError("phase needs exactly two of m_values/alpha_values/r_values")
-    return axes
+    for name, values in axes:
+        if params[name] is not None:
+            raise ConfigError(f"phase does not read {name} when {name}_values is given")
+        for v in values if name != "alpha" else ():
+            _parse_int(f"{name}_values", v)
+    fixed.update((name, params[name]) for name in fixed if params[name] is not None)
+    return axes, fixed
 
 
 def cmd_phase(params: dict, seed: int, out: Path) -> int:
     """``phase.csv``, successes per cell, and ``trials.csv``, one outcome per trial."""
-    (x_axis, x_values), (y_axis, y_values) = _phase_axes(params)
+    ((x_axis, x_values), (y_axis, y_values)), fixed = _phase_axes(params)
     runner = _runner("hsnld")
     trials = params["trials"]
-    m = params["n"] if params["m"] is None else params["m"]
     rows, trial_rows = [], []
     for x in x_values:
         for y in y_values:
-            cell = {"m": m, "alpha": params["alpha"], "r": params["r"], x_axis: x, y_axis: y}
+            cell = {**fixed, x_axis: x, y_axis: y}
             successes = 0
             for t in range(trials):
                 _, (termination, iterations, err) = _trial(

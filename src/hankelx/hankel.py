@@ -103,15 +103,10 @@ def antidiagonal_counts(shape: HankelShape) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _sqrt_counts_cached(n1: int, n2: int) -> np.ndarray:
-    counts = antidiagonal_counts(HankelShape(n1, n2)).astype(np.float64)
-    weights = np.sqrt(counts)
+def _sqrt_counts(shape: HankelShape) -> np.ndarray:
+    weights = np.sqrt(antidiagonal_counts(shape).astype(np.float64))
     weights.setflags(write=False)
     return weights
-
-
-def _sqrt_counts(shape: HankelShape) -> np.ndarray:
-    return _sqrt_counts_cached(shape.n1, shape.n2)
 
 
 def unweight(sig: WeightedSignal) -> np.ndarray:

@@ -115,8 +115,7 @@ def truncated_svd(
         Q, _ = np.linalg.qr(matvec(Z))
 
     W = rmatvec(Q)  # (n2, width); the projected matrix is W^H
-    G = W.conj().T @ W
-    w, E = np.linalg.eigh(0.5 * (G + G.conj().T))
+    w, E = _hermitian_eigh(W.conj().T @ W)
     order = np.argsort(w)[::-1]
     w = np.clip(w[order], 0.0, None)
     E = E[:, order]

@@ -41,6 +41,9 @@ class ObservationPattern:
             raise ValueError("indices out of range")
         if self.mode == WITHOUT_REPLACEMENT and np.unique(idx).size != idx.size:
             raise ValueError("without-replacement pattern has repeated indices")
+        mult = np.bincount(idx, minlength=self.n).astype(np.float64)
+        mult.setflags(write=False)
+        object.__setattr__(self, "_mult", mult)
 
     @property
     def m(self) -> int:
@@ -51,13 +54,8 @@ class ObservationPattern:
         return self.indices.size / self.n
 
     def multiplicities(self) -> np.ndarray:
-        """Per-coordinate sample counts (0/1 in without-replacement mode)."""
-        cached = self.__dict__.get("_mult")
-        if cached is None:
-            cached = np.bincount(self.indices, minlength=self.n).astype(np.float64)
-            cached.setflags(write=False)
-            object.__setattr__(self, "_mult", cached)
-        return cached
+        """Per-coordinate sample counts (0/1 in without-replacement mode), read-only."""
+        return self._mult
 
     def observed_set(self) -> np.ndarray:
         return np.unique(self.indices)

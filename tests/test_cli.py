@@ -281,7 +281,7 @@ def _short_signal(path):
     (["converge", "n=64", "r=2", "kappas=1", "trials=1", "p=nan"], "p must be finite, got nan"),
     (["gen", "kind=spectral", "n=64", "r=32"], "could not draw 32 frequencies 1/64 apart"),
     # an explicit value is never read as "not given"
-    (["gen", "kind=spectral", "n=100", "r=2", "p=0.5", "m=0"], "m must be >= 1, got 0"),
+    (["gen", "kind=spectral", "n=100", "r=2", "m=0"], "m must be >= 1, got 0"),
     (["gen", "kind=spectral", "n=100", "r=2", "p=0"], "m must be >= 1, got 0"),
     (["gen", "kind=spectral", "n=100", "r=2", "p=-0.5"], "m must be >= 1, got -50"),
     (["gen", "kind=spectral", "n=100", "r=2", "alpha=0.1", "magnitude_scale=-1"],
@@ -289,12 +289,23 @@ def _short_signal(path):
     (["recover", "input={gen}", "alpha=-1"], "alpha must lie in [0, 1], got -1.0"),
     (["recover", "input={gen}", "r=-1"], "rank must be an integer >= 1, got -1"),
     (["doa", "n=256", "r=0"], "rank must be an integer >= 1, got 0"),
-    (["phase", "n=64", "r=2", "m=0", "alpha_values=0", "r_values=2", "trials=1"],
+    (["phase", "n=64", "m=0", "alpha_values=0", "r_values=2", "trials=1"],
      "m must be >= 1, got 0"),
     (["phase", "n=64", "r=2", "m_values=30.5,40", "alpha_values=0", "trials=1"],
      "m_values must be an integer, got 30.5"),
     (["phase", "n=64", "m_values=64", "r_values=2.5", "trials=1"],
      "r_values must be an integer, got 2.5"),
+    # a run accepts only the keys it reads
+    (["gen", "kind=doa", "n=64", "r=5", "kappa=3"], "gen kind=doa does not read r, kappa"),
+    (["gen", "kind=spectral", "n=64", "r=2", "thetas=1"], "gen kind=spectral does not read thetas"),
+    (["gen", "kind=spectral", "n=100", "r=2", "m=50", "p=0.3"],
+     "gen kind=spectral does not read p"),
+    (["phase", "n=64", "alpha=0.9", "m_values=64", "alpha_values=0", "trials=1"],
+     "phase does not read alpha when alpha_values is given"),
+    (["phase", "n=64", "r=2", "m_values=64", "r_values=2", "trials=1"],
+     "phase does not read r when r_values is given"),
+    (["phase", "n=64", "m=40", "m_values=64", "alpha_values=0", "trials=1"],
+     "phase does not read m when m_values is given"),
 ], ids=["gen-m", "gen-alpha", "doa-p", "phase-m", "phase-r", "phase-eta", "phase-trials",
         "converge-eta", "converge-trials", "converge-solvers", "recover-r", "doa-n",
         "recover-tol-nan", "recover-bound-inf", "recover-pattern-blank-line",
@@ -304,7 +315,9 @@ def _short_signal(path):
         "doa-theta-nan", "gen-p-nan", "converge-p-nan", "gen-unseparable",
         "gen-m-zero", "gen-p-zero", "gen-p-negative", "gen-scale-negative",
         "recover-alpha-negative", "recover-r-negative", "doa-r-zero", "phase-m-zero",
-        "phase-m-values-fraction", "phase-r-values-fraction"])
+        "phase-m-values-fraction", "phase-r-values-fraction", "gen-doa-unread",
+        "gen-spectral-unread", "gen-m-and-p", "phase-alpha-and-axis", "phase-r-and-axis",
+        "phase-m-and-axis"])
 def test_setup_rejection_exit_2(tmp_path, capsys, args, named):
     if "input={gen}" in args:
         data = tmp_path / "gen"
@@ -320,7 +333,7 @@ def test_setup_rejection_exit_2(tmp_path, capsys, args, named):
 
 
 def _arg(value):
-    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    return ",".join(map(str, value)) if isinstance(value, (list, tuple)) else str(value)
 
 
 # tiny runs of each command; phase takes the two axes its tested key is not
@@ -328,26 +341,35 @@ _TINY = {
     "gen": ["kind=spectral", "n=64", "r=2"],
     "recover": [],
     "converge": ["n=64", "r=2", "kappas=1", "trials=1", "max_iters=50", "solvers=hsnld"],
-    "phase": ["n=64", "r=2", "trials=1", "max_iters=50"],
+    "phase": ["n=64", "trials=1", "max_iters=50"],
     "doa": ["n=1024", "p=0.2", "max_iters=20"],
 }
+# keys whose None default the command resolves to this value
+_RESOLVED = [("gen", "kappa", 1.0), ("gen", "thetas", [87.0, 87.1, 87.3]),
+             ("phase", "r", 10), ("phase", "alpha", 0.0)]
 _DEFAULTS = [(command, key, default) for command, schema in cli._SCHEMAS.items()
-             for key, (_, default) in schema.items() if default is not None]
+             for key, (_, default) in schema.items() if default is not None] + _RESOLVED
 
 
 @pytest.mark.parametrize("command, key, default", _DEFAULTS,
                          ids=[f"{c}-{k}" for c, k, _ in _DEFAULTS])
 def test_explicit_default_runs(tmp_path, command, key, default):
     # a default given explicitly is a value like any other, never "not given"
-    args = list(_TINY[command])
+    args = ["kind=doa", "n=64"] if key == "thetas" and command == "gen" else list(_TINY[command])
     if command == "recover":
         data = tmp_path / "gen"
         assert run_cli("gen", "--out", str(data), "kind=spectral", "n=64", "r=2") == 0
         args.append(f"input={data}")
     if command == "phase":
         axes = ["m_values=64", "alpha_values=0", "r_values=2"]
-        args += [a for a in axes if not a.startswith(f"{key}=")][:2]
-    assert run_cli(command, "--out", str(tmp_path / "out"), *args, f"{key}={_arg(default)}") == 0
+        args += [a for a in axes if a.split("=")[0] not in (key, f"{key}_values")][:2]
+    out = tmp_path / "out"
+    assert run_cli(command, "--out", str(out), *args, f"{key}={_arg(default)}") == 0
+    if (command, key, default) in _RESOLVED:
+        # and a resolved default given is the same run as the key left out
+        assert run_cli(command, "--out", str(tmp_path / "left_out"), *args) == 0
+        for path in out.iterdir():
+            assert path.read_bytes() == (tmp_path / "left_out" / path.name).read_bytes()
 
 
 @pytest.mark.parametrize("args, m", [

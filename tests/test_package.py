@@ -1,9 +1,11 @@
+import json
 import re
+import shlex
 import types
 from pathlib import Path
 
 import hankelx
-from hankelx import hankel, linalg, recovery, sampling, signals
+from hankelx import cli, hankel, linalg, recovery, sampling, signals
 
 MODULES = (hankel, linalg, recovery, sampling, signals)
 
@@ -28,3 +30,16 @@ def test_readme_quick_start_import_resolves():
     namespace = {}
     exec(block, namespace)
     assert namespace["report"].termination == "residual_tol"
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    # README's gen and recover lines, run as written in a scratch directory
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"Examples:\n+```sh\n(.*?)```", readme, re.S).group(1)
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith(("hankelx gen ", "hankelx recover "))]
+    assert len(lines) == 2
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert cli.main(shlex.split(line)[1:]) == 0, line
+    assert json.loads((tmp_path / "result" / "summary.json").read_text())["success"] is True
