@@ -21,8 +21,9 @@ it does not change how or what a command computes.
 write ``trials.csv``, one named outcome per trial.  A summary's ``seconds`` is
 the solver's own clock, the one behind the trace's ``ms`` column.
 
-Exit codes: 0 command completed and wrote its report, 1 solver error, 2 usage
-or configuration error, including input the library rejects before any solve
+Exit codes: 0 command completed and wrote its report, whatever the solve's
+termination; 1 an unexpected failure, with no report; 2 usage or
+configuration error, including input the library rejects before any solve
 (no report is written then).
 """
 
@@ -39,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .hankel import HankelShape, WeightedSignal
-from .linalg import DegenerateGramError, _check_rank
+from .linalg import _check_rank
 from .recovery import RecoveryConfig, RecoveryReport, run_hsnld, run_plain_gd
 from .sampling import WITHOUT_REPLACEMENT, ObservationPattern, _ceil_count, sample_pattern
 from .signals import (
@@ -308,9 +309,8 @@ def _trial(params, runner, trial_seed, rank, kappa, m, alpha):
     """One synthetic solve built from ``trial_seed``, and its named outcome.
 
     Returns the report, or the exception the solve raised, and (termination,
-    iterations, err).  Bad instance or solver input raises ConfigError.  A
-    raising solve is named ``degenerate_gram`` when a factor Gram collapsed and
-    ``error`` otherwise, at the iteration it names (-1 if none), with err nan.
+    iterations, err): the report's own, or ``error``, -1 and nan for a solve
+    that raised.  Bad instance or solver input raises ConfigError.
     """
     with _rejected_input():
         sig, _ = spectral_signal(params["n"], rank, kappa, seed=derive_seed(trial_seed, "signal"))
@@ -321,8 +321,7 @@ def _trial(params, runner, trial_seed, rank, kappa, m, alpha):
     try:
         report = runner(f_obs, pattern, sig.shape, config, ground_truth=sig.z)
     except (ValueError, RuntimeError) as exc:
-        cause = "degenerate_gram" if isinstance(exc.__cause__, DegenerateGramError) else "error"
-        return exc, (cause, getattr(exc, "iteration", -1), math.nan)
+        return exc, ("error", -1, math.nan)
     return report, (report.termination, report.iterations, report.final_error)
 
 
@@ -448,7 +447,10 @@ def cmd_recover(params: dict, seed: int, out: Path) -> int:
 
 
 def cmd_converge(params: dict, seed: int, out: Path) -> int:
-    """``converge.csv``, each cell's mean trace or first failure, and ``trials.csv``."""
+    """``converge.csv``, each cell's mean trace, and ``trials.csv``, one outcome per trial.
+
+    A cell with a solve that raised gets one ``error: <first failure>`` row instead.
+    """
     kappas = params["kappas"]
     if not kappas:
         raise ConfigError("converge needs a nonempty kappas list")

@@ -56,21 +56,12 @@ __all__ = [
     "InitResult",
     "IterationRecord",
     "RecoveryReport",
-    "SolverError",
     "project_incoherence",
     "spectral_init",
     "hsnld_step",
     "run_hsnld",
     "run_plain_gd",
 ]
-
-
-class SolverError(RuntimeError):
-    """A solver run aborted; carries the iterate index where it happened."""
-
-    def __init__(self, message: str, iteration: int):
-        super().__init__(f"{message} (iteration {iteration})")
-        self.iteration = iteration
 
 
 # Inflation applied on top of the estimated incoherence radius.  The row-norm
@@ -372,18 +363,18 @@ def hsnld_step(
     shape: HankelShape,
     config: RecoveryConfig,
 ) -> IterateState:
-    """One preconditioned update of both factors (computed jointly, then projected)."""
+    """One preconditioned update of both factors (computed jointly, then projected).
+
+    Raises :class:`DegenerateGramError` on a zero, non-finite or singular Gram.
+    """
     current = state.factors
     eta = config.eta
     grad_l, grad_r = _factor_products(_descent_direction(state, pattern), state.spectra)
-    try:
-        if current.eig is None:
-            raise DegenerateGramError("degenerate factor Gram matrix (zero or non-finite input)")
-        w, Q = current.eig
-        inv_gram_r = _inverse_from_eigh(w[1], Q[1])
-        inv_gram_l = _inverse_from_eigh(w[0], Q[0])
-    except DegenerateGramError as exc:
-        raise SolverError(str(exc), state.iteration) from exc
+    if current.eig is None:
+        raise DegenerateGramError("degenerate factor Gram matrix (zero or non-finite input)")
+    w, Q = current.eig
+    inv_gram_r = _inverse_from_eigh(w[1], Q[1])
+    inv_gram_l = _inverse_from_eigh(w[0], Q[0])
     # (1 - eta) L - grad_l (eta inv_gram_r): eta scales the r x r inverse, not
     # the n x r gradient, and the bytes are those of (eta grad_l) inv_gram_r
     # whenever eta is a power of two, the default 0.5 included
@@ -464,7 +455,11 @@ def _run(
             termination = "clipped"
             break
         if update == "hsnld":
-            state = hsnld_step(state, f_obs, pattern, shape, config)
+            try:
+                state = hsnld_step(state, f_obs, pattern, shape, config)
+            except DegenerateGramError:
+                termination = "degenerate_gram"
+                break
         else:
             state = _plain_gd_step(state, f_obs, pattern, shape, config, sigma1)
     return RecoveryReport(
@@ -499,21 +494,22 @@ def run_hsnld(
 
     ``report.termination`` names the stop: ``"residual_tol"`` at the relative
     observed residual tolerance, ``"diverged"`` on a non-finite residual,
-    ``"max_iters"`` at the iteration cap, and ``"clipped"`` after
+    ``"max_iters"`` at the iteration cap, ``"clipped"`` after
     ``CLIP_STOP_ITERS`` consecutive iterates (the initialization's counts as
-    iterate 0) whose incoherence projection shrank a row.  The last applies
-    only to an estimated radius (``incoherence_bound="auto"``): a recoverable
-    truth sits well inside it, so an iterate pressed on it is off the truth.
-    An explicit bound is the caller's constraint and never stops a solve.
-    The checks run in that order, so a converged iterate reports
-    ``"residual_tol"``.  Each step right-multiplies a factor's
-    gradient by the other factor's inverse Gram, scaled by ``eta``.  The
-    inverse comes from the eigendecomposition that the iterate's
-    :class:`Factors` carries; a zero or non-finite Gram on either side, or
-    one whose eigenvalues span a ratio below 1e-12, raises
-    :class:`SolverError`.  The projection computes exact row norms only for
-    a factor that its eigenvalue screen cannot clear (see
-    :func:`project_incoherence`).
+    iterate 0) whose incoherence projection shrank a row, and
+    ``"degenerate_gram"`` when the step from the last iterate cannot invert a
+    factor Gram.  ``"clipped"`` applies only to an estimated radius
+    (``incoherence_bound="auto"``): a recoverable truth sits well inside it,
+    so an iterate pressed on it is off the truth.  An explicit bound is the
+    caller's constraint and never stops a solve.  The checks run in that
+    order, so a converged iterate reports ``"residual_tol"``.  Each step
+    right-multiplies a factor's gradient by the other factor's inverse Gram,
+    scaled by ``eta``.  The inverse comes from the eigendecomposition that
+    the iterate's :class:`Factors` carries; a zero or non-finite Gram on
+    either side, or one whose eigenvalues span a ratio below 1e-12, ends the
+    solve with ``"degenerate_gram"`` and the records up to that iterate.  The
+    projection computes exact row norms only for a factor that its eigenvalue
+    screen cannot clear (see :func:`project_incoherence`).
     """
     return _run("hsnld", f_obs, pattern, shape, config, ground_truth)
 

@@ -12,8 +12,6 @@ import pytest
 import hankelx
 from hankelx import cli
 from hankelx.cli import derive_seed, main
-from hankelx.linalg import DegenerateGramError
-from hankelx.recovery import SolverError
 from hankelx.signals import condition_number, load_signal
 
 
@@ -153,15 +151,34 @@ def test_recover_missing_input_exit_2(tmp_path, capsys):
     assert "lists no indices" in capsys.readouterr().err
 
 
-def test_recover_solver_error_exit_1(tmp_path, capsys):
+def _failing_hsnld(*args, **kwargs):
+    raise RuntimeError("solver blew up")
+
+
+def test_recover_degenerate_gram_writes_report(tmp_path):
     data = tmp_path / "data"
-    # rank-1 data solved at rank 2 collapses the factor Gram matrix
+    # rank-1 data solved at rank 2 collapses the factor Gram matrix at once
     assert run_cli("gen", "--out", str(data), "--seed", "8",
                    "kind=spectral", "n=64", "r=1") == 0
-    code = run_cli("recover", "--out", str(tmp_path / "r"), f"input={data}",
-                   "r=2", "tol_residual=0")
-    assert code == 1
-    assert capsys.readouterr().err == "solver error: degenerate factor Gram matrix (iteration 0)\n"
+    out = tmp_path / "r"
+    assert run_cli("recover", "--out", str(out), f"input={data}", "r=2", "tol_residual=0") == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["termination"] == "degenerate_gram"
+    assert summary["iters"] == 0
+    assert summary["success"] is False
+    assert len((out / "trace.csv").read_text().splitlines()) == 2
+
+
+def test_recover_solver_error_exit_1(tmp_path, monkeypatch, capsys):
+    # an unexpected failure inside the solve exits 1 and writes no report
+    data = tmp_path / "data"
+    assert run_cli("gen", "--out", str(data), "--seed", "8",
+                   "kind=spectral", "n=64", "r=1") == 0
+    monkeypatch.setattr(cli, "run_hsnld", _failing_hsnld)
+    out = tmp_path / "r"
+    assert run_cli("recover", "--out", str(out), f"input={data}", "r=1") == 1
+    assert capsys.readouterr().err == "solver error: solver blew up\n"
+    assert not out.exists()
 
 
 def test_converge_small_grid(tmp_path):
@@ -174,15 +191,23 @@ def test_converge_small_grid(tmp_path):
     assert any(line.startswith("plaingd,5.0,") for line in lines[1:])
 
 
-def _collapsing_hsnld(*args, **kwargs):
-    try:
-        raise DegenerateGramError("degenerate factor Gram matrix")
-    except DegenerateGramError as exc:
-        raise SolverError(str(exc), 7) from exc
+def test_converge_trials_csv_names_a_degenerate_gram(tmp_path):
+    # at kappa 1e13 the first trial's factor Gram collapses before the cap
+    out = tmp_path / "conv"
+    assert run_cli("converge", "--out", str(out), "--seed", "0", "n=64", "r=2", "kappas=1e13",
+                   "p=1", "trials=1", "tol_residual=0", "max_iters=50", "solvers=hsnld") == 0
+    ((_, _, _, termination, iterations, err),) = _read_rows(out / "trials.csv")[1:]
+    assert termination == "degenerate_gram"
+    assert 0 < int(iterations) < 50 and float(err) < 1e-9
+    # the collapsed cell writes its trace, up to the iterate it stopped at
+    lines = (out / "converge.csv").read_text().splitlines()[1:]
+    assert len(lines) == int(iterations) + 1
+    assert all(line.endswith(",ok") for line in lines)
+    assert lines[-1].split(",")[4] == err
 
 
-def test_converge_trials_csv_names_a_degenerate_gram(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "run_hsnld", _collapsing_hsnld)
+def test_grid_trials_csv_names_an_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "run_hsnld", _failing_hsnld)
     args = ["converge", "--seed", "4", "n=64", "r=2", "kappas=1,2", "trials=2", "max_iters=50"]
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -197,16 +222,21 @@ def test_converge_trials_csv_names_a_degenerate_gram(tmp_path, monkeypatch):
     ]
     for kappa, solver, _, termination, iterations, err in rows:
         if solver == "hsnld":
-            assert [termination, iterations, err] == ["degenerate_gram", "7", "nan"]
+            assert [termination, iterations, err] == ["error", "-1", "nan"]
         else:
-            assert termination != "degenerate_gram" and np.isfinite(float(err))
+            assert termination != "error" and np.isfinite(float(err))
     # converge.csv keeps one error row per failed cell and the trace of the others
     lines = (out1 / "converge.csv").read_text().splitlines()
-    error = "error: degenerate factor Gram matrix (iteration 7)"
     assert [line for line in lines if line.startswith("hsnld,")] == [
-        f"hsnld,{k},-1,nan,nan,nan,{error}" for k in ("1.0", "2.0")
+        f"hsnld,{k},-1,nan,nan,nan,error: solver blew up" for k in ("1.0", "2.0")
     ]
     assert any(line.startswith("plaingd,2.0,0,") and line.endswith(",ok") for line in lines)
+    # phase names the same outcome, and counts no success
+    out = tmp_path / "phase"
+    assert run_cli("phase", "--out", str(out), "n=64", "r=2", "m_values=64",
+                   "alpha_values=0", "trials=1") == 0
+    assert (out / "phase.csv").read_text().splitlines()[1] == "64.0,0.0,0,1"
+    assert (out / "trials.csv").read_text().splitlines()[1] == "64.0,0.0,0,error,-1,nan"
 
 
 def test_summary_seconds_is_the_trace_clock(tmp_path):
@@ -430,13 +460,16 @@ def test_phase_trials_csv_adds_up_to_phase_csv(tmp_path):
     assert [[m, a, str(successes[m, a]), "2"] for m, a in successes] == phase
 
 
-def test_phase_names_a_degenerate_gram(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "run_hsnld", _collapsing_hsnld)
+def test_phase_names_a_degenerate_gram(tmp_path):
+    # at kappa 1e13 the initialization's factor Gram already collapses; the
+    # trial keeps the error of the iterate it stopped at
     out = tmp_path / "phase"
-    assert run_cli("phase", "--out", str(out), "n=64", "r=2", "m_values=64",
-                   "alpha_values=0", "trials=1") == 0
+    assert run_cli("phase", "--out", str(out), "n=64", "r=2", "kappa=1e13", "m_values=64",
+                   "alpha_values=0", "trials=1", "tol_residual=0", "max_iters=50") == 0
     assert (out / "phase.csv").read_text().splitlines()[1] == "64.0,0.0,0,1"
-    assert (out / "trials.csv").read_text().splitlines()[1] == "64.0,0.0,0,degenerate_gram,7,nan"
+    (row,) = _read_rows(out / "trials.csv")[1:]
+    assert row[:5] == ["64.0", "0.0", "0", "degenerate_gram", "0"]
+    assert float(row[5]) < 1e-12
 
 
 def test_phase_requires_two_axes(capsys):

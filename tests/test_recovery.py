@@ -17,7 +17,6 @@ from hankelx.hankel import (
 from hankelx.recovery import (
     Factors,
     RecoveryConfig,
-    SolverError,
     hsnld_step,
     project_incoherence,
     run_hsnld,
@@ -698,9 +697,9 @@ def test_nonfinite_observations_rejected(bad):
         spectral_init(f_obs, pattern, sig.shape, r, 0.0)
 
 
-def test_run_hsnld_degenerate_gram_raises():
+def test_run_hsnld_ends_on_a_degenerate_gram():
     # asking for rank 2 on exactly rank-1 data collapses the second factor
-    # column and the preconditioner must refuse
+    # column and the preconditioner refuses it: the solve stops there
     n = 64
     sig, _ = spectral_signal(n, 1, 1.0, seed=98)
     pattern = sample_pattern(n, n, WITHOUT_REPLACEMENT, seed=99)
@@ -710,24 +709,25 @@ def test_run_hsnld_degenerate_gram_raises():
     # carries, and the eigenvalue ratio below 1e-12 refuses it
     init = spectral_init(f_obs, pattern, sig.shape, 2, 0.0, seed=config.seed)
     assert init.factors.eig is not None
-    with pytest.raises(SolverError, match=r"^degenerate factor Gram matrix \(iteration 0\)$"):
-        run_hsnld(f_obs, pattern, sig.shape, config)
+    report = run_hsnld(f_obs, pattern, sig.shape, config, ground_truth=sig.z)
+    assert report.termination == "degenerate_gram"
+    assert report.iterations == 0
+    # the report keeps the iterate it stopped at
+    assert np.isfinite(report.final_error)
+    assert report.residuals()[0] > config.tol_residual
 
 
 @pytest.mark.parametrize("scale", [0.0, 1e200])
 def test_hsnld_step_refuses_a_zero_or_nonfinite_gram(scale):
-    # a zero Gram, or one that overflows to inf, carries no eigendecomposition;
-    # the step refuses it at the iteration it was asked to take
+    # a zero Gram, or one that overflows to inf, carries no eigendecomposition
     shape, pattern, f_obs, config, sigma1, state = _mid_solve_state(255, 5, 197)
     with np.errstate(over="ignore", invalid="ignore"):
         factors = Factors(np.full_like(state.factors.L, scale),
                           np.full_like(state.factors.R, scale))
     assert factors.eig is None
-    message = r"^degenerate factor Gram matrix \(zero or non-finite input\) \(iteration 4\)$"
-    with pytest.raises(SolverError, match=message) as raised:
-        hsnld_step(replace(state, factors=factors, iteration=4), f_obs, pattern, shape, config)
-    assert raised.value.iteration == 4
-    assert isinstance(raised.value.__cause__, DegenerateGramError)
+    message = r"^degenerate factor Gram matrix \(zero or non-finite input\)$"
+    with pytest.raises(DegenerateGramError, match=message):
+        hsnld_step(replace(state, factors=factors), f_obs, pattern, shape, config)
 
 
 def _clipping_instance():
