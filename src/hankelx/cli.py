@@ -42,6 +42,7 @@ import numpy as np
 from .hankel import HankelShape, WeightedSignal
 from .linalg import _check_rank
 from .recovery import RecoveryConfig, RecoveryReport, run_hsnld, run_plain_gd
+from .recovery import _check_supported, _error_against
 from .sampling import WITHOUT_REPLACEMENT, ObservationPattern, _ceil_count, sample_pattern
 from .signals import (
     OutlierSpec,
@@ -61,21 +62,23 @@ class ConfigError(Exception):
     """Bad usage or configuration; maps to exit code 2."""
 
 
+def _succeeded(termination: str, err: float) -> bool:
+    """The one success rule; a nan ``err`` means no ground truth, and passes the error test."""
+    return termination == "residual_tol" and not err > SUCCESS_ERROR_TOL
+
+
 # ---------------------------------------------------------------------------
 # parameter schemas
 # ---------------------------------------------------------------------------
 
 
-def _parse_float_list(text):
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    return [float(tok) for tok in str(text).split(",") if tok != ""]
-
-
-def _parse_str_list(text):
-    if isinstance(text, (list, tuple)):
-        return [str(v) for v in text]
-    return [tok for tok in str(text).split(",") if tok != ""]
+def _list_of(cast):
+    """The one list reader: a JSON list's items, or a string's nonempty comma-split tokens, cast."""
+    def parse(value):
+        if isinstance(value, (list, tuple)):
+            return [cast(v) for v in value]
+        return [cast(tok) for tok in str(value).split(",") if tok != ""]
+    return parse
 
 
 def _parse_bound(text):
@@ -91,8 +94,8 @@ _SCHEMAS = {
         "n": (int, None),
         "r": (int, None),
         "kappa": (float, None),
-        "thetas": (_parse_float_list, None),
-        "gains": (_parse_float_list, None),
+        "thetas": (_list_of(float), None),
+        "gains": (_list_of(float), None),
         "m": (int, None),
         "p": (float, None),
         "alpha": (float, 0.0),
@@ -112,8 +115,8 @@ _SCHEMAS = {
     "converge": {
         "n": (int, 1023),
         "r": (int, 5),
-        "kappas": (_parse_float_list, None),
-        "solvers": (_parse_str_list, ["hsnld", "plaingd"]),
+        "kappas": (_list_of(float), None),
+        "solvers": (_list_of(str), ["hsnld", "plaingd"]),
         "p": (float, 0.8),
         "alpha": (float, 0.05),
         "trials": (lambda value: _parse_int("trials", value, 1), 5),
@@ -128,9 +131,9 @@ _SCHEMAS = {
         "kappa": (float, 10.0),
         "m": (int, None),
         "alpha": (float, None),
-        "m_values": (_parse_float_list, []),
-        "alpha_values": (_parse_float_list, []),
-        "r_values": (_parse_float_list, []),
+        "m_values": (_list_of(float), []),
+        "alpha_values": (_list_of(float), []),
+        "r_values": (_list_of(float), []),
         "trials": (lambda value: _parse_int("trials", value, 1), 20),
         "eta": (float, 0.5),
         "max_iters": (int, 1000),
@@ -142,7 +145,7 @@ _SCHEMAS = {
     # trace afterwards
     "doa": {
         "n": (int, 4096),
-        "thetas": (_parse_float_list, _DOA_THETAS),
+        "thetas": (_list_of(float), _DOA_THETAS),
         "r": (int, None),
         "p": (float, 0.015),
         "alpha": (float, 0.10),
@@ -405,9 +408,13 @@ def _load_instance_dir(path: Path):
             raise ConfigError(f"{path / 'meta.json'} must hold a JSON object")
     mode = meta.get("mode", WITHOUT_REPLACEMENT)
     pattern = ObservationPattern(n=observed.shape.n, indices=indices, mode=mode)
+    # the solver's own input rules, so input it would refuse is refused here
+    _check_supported(observed.z, pattern)
     truth = load_signal(path / "signal.hnkz") if (path / "signal.hnkz").is_file() else None
-    if truth is not None and truth.shape.n != observed.shape.n:
-        raise ConfigError(f"signal.hnkz length {truth.shape.n} != observed {observed.shape.n}")
+    if truth is not None:
+        if truth.shape.n != observed.shape.n:
+            raise ConfigError(f"signal.hnkz length {truth.shape.n} != observed {observed.shape.n}")
+        _error_against(truth.z)
     return observed, pattern, truth, meta
 
 
@@ -434,13 +441,9 @@ def cmd_recover(params: dict, seed: int, out: Path) -> int:
         config,
         ground_truth=None if truth is None else truth.z,
     )
-    # without ground truth, success is reaching the residual tolerance
-    success = report.termination == "residual_tol" and (
-        truth is None or report.final_error <= SUCCESS_ERROR_TOL
-    )
     _write_run(
         out, report, {**params, "rank": rank, "alpha": alpha, "seed": seed},
-        success=success,
+        success=_succeeded(report.termination, report.final_error),
         iters=report.iterations,
     )
     return 0
@@ -522,8 +525,7 @@ def cmd_phase(params: dict, seed: int, out: Path) -> int:
                     params, runner, derive_seed(seed, "phase", x_axis, x, y_axis, y, t),
                     int(cell["r"]), params["kappa"], int(cell["m"]), float(cell["alpha"]),
                 )
-                # a success ends at the residual tolerance within SUCCESS_ERROR_TOL of the truth
-                successes += termination == "residual_tol" and err <= SUCCESS_ERROR_TOL
+                successes += _succeeded(termination, err)
                 trial_rows.append([x, y, t, termination, iterations, err])
             rows.append([x, y, successes, trials])
     out.mkdir(parents=True, exist_ok=True)
@@ -537,6 +539,10 @@ def cmd_phase(params: dict, seed: int, out: Path) -> int:
 
 
 def cmd_doa(params: dict, seed: int, out: Path) -> int:
+    error_tol = params["error_tol"]
+    # as tol_residual; an infinite one succeeds at once, and neither inf nor NaN is JSON
+    if not (math.isfinite(error_tol) and error_tol >= 0):
+        raise ConfigError(f"error_tol must be finite and >= 0, got {error_tol}")
     n = params["n"]
     thetas = params["thetas"]
     rank = len(thetas) if params["r"] is None else params["r"]
@@ -549,7 +555,7 @@ def cmd_doa(params: dict, seed: int, out: Path) -> int:
     config = _solver_config(params, sig.shape, rank, params["alpha"], seed)
     report = run_hsnld(f_obs, pattern, sig.shape, config, ground_truth=sig.z)
     errors = report.errors()
-    hits = np.flatnonzero(errors <= params["error_tol"])
+    hits = np.flatnonzero(errors <= error_tol)
     reached = int(hits[0]) if hits.size else -1
     _write_run(
         out, report, {**params, "rank": rank, "m": m, "seed": seed},
@@ -609,6 +615,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"solver error: {exc}", file=sys.stderr)
         return 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

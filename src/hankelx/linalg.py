@@ -1,9 +1,9 @@
 """Dense complex linear algebra at factor scale (r x r and n x r).
 
-The eigendecomposition of a stack of factor Gram matrices and the inverse
-taken from it, which preconditions every HSNLD step, plus a randomized
-truncated SVD driven entirely by caller-supplied block matvec callables so
-the large dimension is only ever touched through fast operator products.
+The eigendecomposition of a stack of factor Gram matrices and the inverses
+taken from it, which precondition every HSNLD step, plus a randomized
+truncated SVD driven by block matvec callables: the one Hankel SVD passes it
+the FFT products, so the large dimension is only touched through those.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .hankel import WeightedSignal, hankel_matmat, hankel_rmatmat
 
 __all__ = [
     "DegenerateGramError",
@@ -56,11 +58,13 @@ def _hermitian_eigh(G: np.ndarray):
 
 
 def _inverse_from_eigh(w: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """G^{-1} from G's eigendecomposition, refusing an eigenvalue ratio below 1e-12."""
+    """G^{-1} for G, or each G of a stack (each with its own bytes), from its eigh ``(w, Q)``.
+
+    Refuses the whole stack if any G has an eigenvalue ratio below 1e-12."""
     wabs = np.abs(w)
-    if wabs.min() < 1e-12 * wabs.max():
+    if (wabs < 1e-12 * wabs.max(axis=-1, keepdims=True)).any():
         raise DegenerateGramError("degenerate factor Gram matrix")
-    return (Q * (1.0 / w)) @ Q.conj().T
+    return (Q * (1.0 / w)[..., None, :]) @ np.swapaxes(Q.conj(), -1, -2)
 
 
 @dataclass
@@ -130,3 +134,11 @@ def truncated_svd(
         else:
             S[j] = 0.0
     return TruncatedSVD(U=U, S=S, V=V)
+
+
+def _hankel_svd(sig: WeightedSignal, rank: int, seed: int) -> TruncatedSVD:
+    """:func:`truncated_svd` of the Hankel matrix ``sig`` embeds, through its FFT products."""
+    return truncated_svd(
+        lambda V: hankel_matmat(sig, V), lambda U: hankel_rmatmat(sig, U),
+        sig.shape.n1, sig.shape.n2, rank, seed=seed,
+    )

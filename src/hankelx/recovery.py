@@ -23,21 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hankel import (
-    HankelShape,
-    WeightedSignal,
-    hankel_matmat,
-    hankel_rmatmat,
-    _factor_products,
-    _lowrank_spectra,
-    _sqrt_counts,
-)
+from .hankel import HankelShape, WeightedSignal, _factor_products, _lowrank_spectra, _sqrt_counts
 from .linalg import (
     DegenerateGramError,
-    truncated_svd,
     _check_fraction,
     _check_integer,
     _check_rank,
+    _hankel_svd,
     _hermitian_eigh,
     _inverse_from_eigh,
     _invertible_input,
@@ -181,9 +173,6 @@ class RecoveryReport:
     def errors(self) -> np.ndarray:
         return np.array([rec.error for rec in self.records])
 
-    def residuals(self) -> np.ndarray:
-        return np.array([rec.residual for rec in self.records])
-
 
 def project_incoherence(L, R, bound: float) -> Factors:
     """Row-wise projection keeping both cross products inside the 2,inf ball.
@@ -290,9 +279,10 @@ def spectral_init(
     The largest ceil(alpha*m) observed entries (:func:`keep_count` at gamma 1;
     ranked by raw magnitude, see :func:`_sparsify`) are treated as outliers
     and removed, the remainder is scaled by 1/p to compensate for sampling,
-    and the top-rank SVD of the resulting implicit Hankel matrix seeds the
-    factors.  When ``bound`` is "auto" the incoherence radius is estimated
-    from the leading singular vectors' row norms and the top singular value.
+    and the top-rank SVD of the resulting implicit Hankel matrix (the one
+    Hankel SVD, :func:`linalg._hankel_svd`) seeds the factors.  When ``bound``
+    is "auto" the incoherence radius is estimated from the leading singular
+    vectors' row norms and the top singular value.
     """
     f_obs = np.asarray(f_obs, dtype=np.complex128)
     n1, n2, n = shape.n1, shape.n2, shape.n
@@ -305,15 +295,7 @@ def spectral_init(
 
     s0 = _sparsify(f_obs, keep_count(1.0, alpha, pattern.m, n), shape)
 
-    cleaned = WeightedSignal(shape, (f_obs - s0.s) / pattern.rate)
-    tsvd = truncated_svd(
-        matvec=lambda V: hankel_matmat(cleaned, V),
-        rmatvec=lambda U: hankel_rmatmat(cleaned, U),
-        n1=n1,
-        n2=n2,
-        rank=rank,
-        seed=seed,
-    )
+    tsvd = _hankel_svd(WeightedSignal(shape, (f_obs - s0.s) / pattern.rate), rank, seed)
     sigma1 = float(tsvd.S[0])
     if bound == "auto":
         leverage = max(
@@ -372,9 +354,7 @@ def hsnld_step(
     grad_l, grad_r = _factor_products(_descent_direction(state, pattern), state.spectra)
     if current.eig is None:
         raise DegenerateGramError("degenerate factor Gram matrix (zero or non-finite input)")
-    w, Q = current.eig
-    inv_gram_r = _inverse_from_eigh(w[1], Q[1])
-    inv_gram_l = _inverse_from_eigh(w[0], Q[0])
+    inv_gram_l, inv_gram_r = _inverse_from_eigh(*current.eig)
     # (1 - eta) L - grad_l (eta inv_gram_r): eta scales the r x r inverse, not
     # the n x r gradient, and the bytes are those of (eta grad_l) inv_gram_r
     # whenever eta is a power of two, the default 0.5 included
@@ -387,11 +367,15 @@ def hsnld_step(
 
 
 def _error_against(z_true):
-    """Relative l2 error (that of the embeddings too) against a truth whose norm is taken once."""
+    """Relative l2 error (that of the embeddings too) against a truth whose norm is taken once.
+
+    A truth whose norm is zero, non-finite or overflowing defines no error and is refused.
+    """
     b = np.asarray(z_true, dtype=np.complex128)
-    denom = np.linalg.norm(b)
-    if denom == 0:
-        raise ValueError("ground truth is identically zero")
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = np.linalg.norm(b)
+    if not (np.isfinite(denom) and denom > 0):
+        raise ValueError(f"ground truth norm must be finite and nonzero, got {denom}")
 
     def error(z_est) -> float:
         a = np.asarray(z_est, dtype=np.complex128)
@@ -411,6 +395,7 @@ def _run(
     ground_truth: np.ndarray | None = None,
 ) -> RecoveryReport:
     f_obs = np.asarray(f_obs, dtype=np.complex128)
+    error_of = (lambda z: math.nan) if ground_truth is None else _error_against(ground_truth)
     start = time.perf_counter()
     init = spectral_init(
         f_obs, pattern, shape, config.rank, config.alpha,
@@ -424,8 +409,6 @@ def _run(
     state = _refresh(init.factors, f_obs, pattern, shape, config, 0, bound)
     denom = np.linalg.norm(f_obs)
     records: list[IterationRecord] = []
-    with np.errstate(over="ignore"):  # quiet on an overflowing truth, as the records are
-        error_of = (lambda z: math.nan) if ground_truth is None else _error_against(ground_truth)
 
     def residual_of(st: IterateState) -> float:
         if denom == 0:

@@ -63,16 +63,12 @@ class ObservationPattern:
 
 @dataclass
 class SparseEstimate:
-    """A sparse vector; its support is read off its nonzeros, never stored."""
+    """A sparse vector ``s``; its support, ``np.flatnonzero(s)``, is never stored."""
 
     s: np.ndarray
 
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=np.complex128)
-
-    @property
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.s)
 
 
 def sample_pattern(n: int, m: int, mode: str, seed: int) -> ObservationPattern:

@@ -14,15 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .hankel import (
-    HankelShape,
-    WeightedSignal,
-    hankel_matmat,
-    hankel_rmatmat,
-    reweight,
-    unweight,
-)
-from .linalg import truncated_svd, _check_fraction, _check_rank
+from .hankel import HankelShape, WeightedSignal, reweight, unweight
+from .linalg import _check_fraction, _check_rank, _hankel_svd
 from .sampling import ObservationPattern, SparseEstimate, keep_count, project_obs
 
 __all__ = [
@@ -171,19 +164,11 @@ class ConditionEstimate:
 
 
 def condition_number(sig: WeightedSignal, r: int, seed: int = 0) -> ConditionEstimate:
-    """Condition number of the rank-r embedded Hankel matrix."""
+    """Condition number of the rank-r embedded Hankel matrix, off the one Hankel SVD's spectrum."""
     n1, n2 = sig.shape.n1, sig.shape.n2
     _check_rank(r, n1, n2)
     probe = r + 1 if r + 1 <= min(n1, n2) else r
-    tsvd = truncated_svd(
-        matvec=lambda V: hankel_matmat(sig, V),
-        rmatvec=lambda U: hankel_rmatmat(sig, U),
-        n1=n1,
-        n2=n2,
-        rank=probe,
-        seed=seed,
-    )
-    s = tsvd.S
+    s = _hankel_svd(sig, probe, seed).S
     if s[r - 1] < 1e-14 * s[0]:
         raise ValueError(f"rank-deficient signal: sigma_{r} ~ {s[r - 1]:.3e}")
     gap = s[r] / s[0] if probe > r else float("nan")

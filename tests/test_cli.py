@@ -255,12 +255,44 @@ def test_converge_empty_kappas_exit_2(capsys):
     assert run_cli("converge", "kappas=") == 2
 
 
+def test_config_file_lists(tmp_path, capsys):
+    # a JSON list has each item cast, as a comma-separated string has its tokens
+    cfg = tmp_path / "cfg.json"
+    grid = {"n": 64, "r": 2, "trials": 1, "max_iters": 50}
+    cfg.write_text(json.dumps({**grid, "kappas": [1, "2"], "solvers": ["hsnld"]}))
+    assert run_cli("converge", "--config", str(cfg), "--out", str(tmp_path / "file")) == 0
+    assert run_cli("converge", "--out", str(tmp_path / "line"), "kappas=1,2", "solvers=hsnld",
+                   *(f"{key}={value}" for key, value in grid.items())) == 0
+    trials = [(tmp_path / side / "trials.csv").read_bytes() for side in ("file", "line")]
+    assert trials[0] == trials[1]
+    assert len(trials[0].splitlines()) == 3
+
+    cfg.write_text(json.dumps({"n": 256, "p": 0.5, "max_iters": 2, "thetas": [87, "87.1", 87.3]}))
+    assert run_cli("doa", "--config", str(cfg), "--out", str(tmp_path / "doa")) == 0
+    summary = json.loads((tmp_path / "doa" / "summary.json").read_text())
+    assert summary["config"]["thetas"] == [87.0, 87.1, 87.3]
+    # an empty item is refused, where the string form drops an empty token
+    cfg.write_text(json.dumps({"thetas": [87, ""]}))
+    assert run_cli("doa", "--config", str(cfg), "--out", str(tmp_path / "empty")) == 2
+    assert "bad value for 'thetas'" in capsys.readouterr().err
+
+
 def _text(content):
     return lambda path: path.write_text(content)
 
 
 def _short_signal(path):
     hankelx.save_signal(path, hankelx.reweight(np.ones(10), hankelx.HankelShape.square(10)))
+
+
+def _set_entries(index, value):
+    """A file edit that sets entries of a saved signal."""
+    def edit(path):
+        sig = hankelx.load_signal(path)
+        z = sig.z.copy()
+        z[index] = value
+        hankelx.save_signal(path, hankelx.WeightedSignal(sig.shape, z))
+    return edit
 
 
 # input the library rejects while a command sets up, before any solve; a
@@ -336,6 +368,38 @@ def _short_signal(path):
      "phase does not read r when r_values is given"),
     (["phase", "n=64", "m=40", "m_values=64", "alpha_values=0", "trials=1"],
      "phase does not read m when m_values is given"),
+    # input the solver would refuse before its first iterate
+    (["recover", "input={gen}", {"pattern.csv": _text("index\n0\n1\n2\n")}],
+     "observed vector has nonzeros off the sampling pattern"),
+    (["recover", "input={gen}", {"observed.hnkz": _set_entries(5, np.nan)}],
+     "observed vector has non-finite entries"),
+    (["recover", "input={gen}", {"signal.hnkz": _set_entries(slice(None), 0)}],
+     "ground truth norm must be finite and nonzero, got 0.0"),
+    (["recover", "input={gen}", {"signal.hnkz": _set_entries(5, np.nan)}],
+     "ground truth norm must be finite and nonzero, got nan"),
+    (["doa", "error_tol=nan"], "error_tol must be finite and >= 0, got nan"),
+    (["doa", "error_tol=inf"], "error_tol must be finite and >= 0, got inf"),
+    (["doa", "error_tol=-1"], "error_tol must be finite and >= 0, got -1.0"),
+    # refusals of malformed input files and arguments
+    (["recover", "input={gen}", {"pattern.csv": _text("index\n1\n1\n")}],
+     "without-replacement pattern has repeated indices"),
+    (["recover", "input={gen}", {"pattern.csv": _text("index\n64\n")}], "indices out of range"),
+    (["recover", "input={gen}", {"meta.json": _text('{"r": 2, "mode": "bogus"}')}],
+     "unknown sampling mode 'bogus'"),
+    (["recover", "input={gen}", {"observed.hnkz": lambda p: p.write_bytes(p.read_bytes()[:100])}],
+     "observed.hnkz: truncated payload"),
+    (["recover", "input={gen}", {"observed.hnkz": lambda p: p.write_bytes(
+        b"HNKZ\x02" + p.read_bytes()[5:])}], "observed.hnkz: unsupported version 2"),
+    (["gen", "n=64"], "kind must be 'spectral' or 'doa'"),
+    (["gen", "kind=spectral", "n=1"], "n must be an integer >= 2"),
+    (["recover"], "recover needs input=DIR"),
+    (["recover", "input={gen}", {"meta.json": _text("{}")}], "rank r must be given"),
+    (["recover", "input={gen}", "solver=bogus"], "unknown solver 'bogus'"),
+    (["doa", "thetas="], "thetas and gains must have equal positive length"),
+    # this test module is not JSON
+    (["gen", "--config", __file__], "bad config file"),
+    (["gen", "kind=spectral", "n=64", "r=2", "--seed"], "flag --seed is missing a value"),
+    (["gen", "frob"], "cannot parse argument 'frob'"),
 ], ids=["gen-m", "gen-alpha", "doa-p", "phase-m", "phase-r", "phase-eta", "phase-trials",
         "converge-eta", "converge-trials", "converge-solvers", "recover-r", "doa-n",
         "recover-tol-nan", "recover-bound-inf", "recover-pattern-blank-line",
@@ -347,7 +411,12 @@ def _short_signal(path):
         "recover-alpha-negative", "recover-r-negative", "doa-r-zero", "phase-m-zero",
         "phase-m-values-fraction", "phase-r-values-fraction", "gen-doa-unread",
         "gen-spectral-unread", "gen-m-and-p", "phase-alpha-and-axis", "phase-r-and-axis",
-        "phase-m-and-axis"])
+        "phase-m-and-axis", "recover-off-pattern", "recover-observed-nan", "recover-truth-zero",
+        "recover-truth-nan", "doa-error-tol-nan", "doa-error-tol-inf", "doa-error-tol-negative",
+        "recover-pattern-repeated", "recover-pattern-out-of-range", "recover-meta-mode",
+        "recover-observed-truncated", "recover-observed-version", "gen-no-kind", "gen-n-one",
+        "recover-no-input", "recover-no-rank", "recover-solver", "doa-thetas-empty",
+        "config-not-json", "flag-without-value", "bare-token"])
 def test_setup_rejection_exit_2(tmp_path, capsys, args, named):
     if "input={gen}" in args:
         data = tmp_path / "gen"
@@ -357,7 +426,8 @@ def test_setup_rejection_exit_2(tmp_path, capsys, args, named):
             edit(data / name)
         args = [f"input={data}" if a == "input={gen}" else a for a in args if a is not edits]
     out = tmp_path / "out"
-    assert run_cli(*args, "--out", str(out)) == 2
+    # --out goes first, so a flag can end the arguments
+    assert run_cli(args[0], "--out", str(out), *args[1:]) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
 

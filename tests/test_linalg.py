@@ -46,8 +46,7 @@ def gram(A):
 
 def carried_inverses(A, B):
     """(A^H A)^{-1} and (B^H B)^{-1} from the eigendecomposition Factors(A, B) carries."""
-    w, Q = Factors(A, B).eig
-    return _inverse_from_eigh(w[0], Q[0]), _inverse_from_eigh(w[1], Q[1])
+    return _inverse_from_eigh(*Factors(A, B).eig)
 
 
 def test_inverse_examples(rng):

@@ -70,11 +70,11 @@ def test_project_obs_multiplicity():
 def test_top_k_threshold_examples():
     est = top_k_threshold(np.array([3.0, -1.0, 5.0, 0.0, 2.0]), 2)
     np.testing.assert_array_equal(est.s, [3, 0, 5, 0, 0])
-    np.testing.assert_array_equal(est.support, [0, 2])
+    np.testing.assert_array_equal(np.flatnonzero(est.s), [0, 2])
 
     zero = top_k_threshold(np.array([1.0, 2.0]), 0)
     np.testing.assert_array_equal(zero.s, [0, 0])
-    assert zero.support.size == 0
+    assert np.flatnonzero(zero.s).size == 0
 
 
 def test_top_k_threshold_identity_when_k_large(rng):
@@ -116,7 +116,8 @@ def test_top_k_threshold_is_projection(rng):
     twice = top_k_threshold(once.s, 7)
     np.testing.assert_array_equal(once.s, twice.s)
     assert np.linalg.norm(once.s) <= np.linalg.norm(v) + 1e-15
-    np.testing.assert_array_equal(once.s[once.support], v[once.support])
+    kept = np.flatnonzero(once.s)
+    np.testing.assert_array_equal(once.s[kept], v[kept])
 
 
 def test_keep_count_clamps():
@@ -127,9 +128,9 @@ def test_keep_count_clamps():
 
 def test_sparse_estimate_guards():
     est = SparseEstimate(np.array([0.0, 2.0]))
-    np.testing.assert_array_equal(est.support, [1])
+    np.testing.assert_array_equal(np.flatnonzero(est.s), [1])
     est.s[0] = 3.0  # the support follows the values
-    np.testing.assert_array_equal(est.support, [0, 1])
+    np.testing.assert_array_equal(np.flatnonzero(est.s), [0, 1])
 
 
 @pytest.mark.parametrize("trial", range(100))
