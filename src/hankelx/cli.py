@@ -22,9 +22,11 @@ write ``trials.csv``, one named outcome per trial.  A summary's ``seconds`` is
 the solver's own clock, the one behind the trace's ``ms`` column.
 
 Exit codes: 0 command completed and wrote its report, whatever the solve's
-termination; 1 an unexpected failure, with no report; 2 usage or
-configuration error, including input the library rejects before any solve
-(no report is written then).
+termination; 1 a failed solve (``LinAlgError`` or ``RuntimeError``) or an
+``OSError``; 2 usage or configuration error, or any other ``ValueError``: the
+library raises one only to refuse input, the solver's before its first
+iterate.  ``main`` alone turns an exception into an exit code; on 1 or 2 no
+report is written.
 """
 
 from __future__ import annotations
@@ -34,15 +36,12 @@ import hashlib
 import json
 import math
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .hankel import HankelShape, WeightedSignal
-from .linalg import _check_rank
 from .recovery import RecoveryConfig, RecoveryReport, run_hsnld, run_plain_gd
-from .recovery import _check_supported, _error_against
 from .sampling import WITHOUT_REPLACEMENT, ObservationPattern, _ceil_count, sample_pattern
 from .signals import (
     OutlierSpec,
@@ -56,6 +55,8 @@ from .signals import (
 SUCCESS_ERROR_TOL = 1e-3
 # the array scenario's source angles, in degrees
 _DOA_THETAS = (87.0, 87.1, 87.3)
+# a solve that fails; LinAlgError is numpy's one ValueError that is not a refusal of input
+_SOLVE_FAILURES = (np.linalg.LinAlgError, RuntimeError)
 
 
 class ConfigError(Exception):
@@ -257,15 +258,6 @@ def _write_run(out: Path, report: RecoveryReport, config: dict, success: bool, *
     )
 
 
-@contextmanager
-def _rejected_input():
-    """Wraps a command's setup, before any solve: a library ValueError is bad input (exit 2)."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _runner(solver: str):
     """The solver named ``solver``; read per call, so a patched ``run_hsnld`` is the one run."""
     if solver == "hsnld":
@@ -277,10 +269,9 @@ def _runner(solver: str):
 
 def _observe(sig, m, mode, alpha, magnitude_scale, seed):
     """Sampling pattern, corrupted observations and planted outliers of ``sig``."""
-    with _rejected_input():
-        pattern = sample_pattern(sig.shape.n, m, mode, seed=derive_seed(seed, "pattern"))
-        spec = OutlierSpec(alpha, magnitude_scale, seed=derive_seed(seed, "outliers"))
-        f_obs, s_true = inject_outliers(sig, pattern, spec)
+    pattern = sample_pattern(sig.shape.n, m, mode, seed=derive_seed(seed, "pattern"))
+    spec = OutlierSpec(alpha, magnitude_scale, seed=derive_seed(seed, "outliers"))
+    f_obs, s_true = inject_outliers(sig, pattern, spec)
     return pattern, f_obs, s_true
 
 
@@ -295,35 +286,32 @@ def _solver_config(
     params: dict, shape: HankelShape, rank, alpha, seed, bound="auto"
 ) -> RecoveryConfig:
     """Checked solver settings for every command (bad ones exit 2); solver seed from ``seed``."""
-    with _rejected_input():
-        _check_rank(rank, shape.n1, shape.n2)
-        return RecoveryConfig(
-            rank=rank,
-            alpha=alpha,
-            eta=params["eta"],
-            incoherence_bound=bound,
-            max_iters=params["max_iters"],
-            tol_residual=params["tol_residual"],
-            seed=derive_seed(seed, "solver"),
-        )
+    return RecoveryConfig(
+        rank=rank,
+        alpha=alpha,
+        eta=params["eta"],
+        incoherence_bound=bound,
+        max_iters=params["max_iters"],
+        tol_residual=params["tol_residual"],
+        seed=derive_seed(seed, "solver"),
+    )
 
 
 def _trial(params, runner, trial_seed, rank, kappa, m, alpha):
     """One synthetic solve built from ``trial_seed``, and its named outcome.
 
-    Returns the report, or the exception the solve raised, and (termination,
-    iterations, err): the report's own, or ``error``, -1 and nan for a solve
-    that raised.  Bad instance or solver input raises ConfigError.
+    Returns the report, or the failure the solve raised (``_SOLVE_FAILURES``),
+    and (termination, iterations, err): the report's own, or ``error``, -1 and
+    nan for a failed solve.  Bad instance or solver input raises ValueError.
     """
-    with _rejected_input():
-        sig, _ = spectral_signal(params["n"], rank, kappa, seed=derive_seed(trial_seed, "signal"))
+    sig, _ = spectral_signal(params["n"], rank, kappa, seed=derive_seed(trial_seed, "signal"))
     pattern, f_obs, _ = _observe(
         sig, m, WITHOUT_REPLACEMENT, alpha, params["magnitude_scale"], trial_seed
     )
     config = _solver_config(params, sig.shape, rank, alpha, trial_seed)
     try:
         report = runner(f_obs, pattern, sig.shape, config, ground_truth=sig.z)
-    except (ValueError, RuntimeError) as exc:
+    except _SOLVE_FAILURES as exc:
         return exc, ("error", -1, math.nan)
     return report, (report.termination, report.iterations, report.final_error)
 
@@ -348,14 +336,13 @@ def cmd_gen(params: dict, seed: int, out: Path) -> int:
         raise ConfigError("n must be an integer >= 2")
     shape = HankelShape.square(n)
     kappa = thetas = None
-    with _rejected_input():
-        if kind == "spectral":
-            r, kappa = params["r"], 1.0 if params["kappa"] is None else params["kappa"]
-            sig, _ = spectral_signal(n, r, kappa, seed=derive_seed(seed, "signal"))
-        else:
-            thetas = _DOA_THETAS if params["thetas"] is None else params["thetas"]
-            sig = doa_signal(n, thetas, params["gains"])
-            r = len(thetas)
+    if kind == "spectral":
+        r, kappa = params["r"], 1.0 if params["kappa"] is None else params["kappa"]
+        sig, _ = spectral_signal(n, r, kappa, seed=derive_seed(seed, "signal"))
+    else:
+        thetas = _DOA_THETAS if params["thetas"] is None else params["thetas"]
+        sig = doa_signal(n, thetas, params["gains"])
+        r = len(thetas)
 
     m, p, scale = params["m"], params["p"], params["magnitude_scale"]
     if m is None:  # with neither m nor p, every entry is observed
@@ -408,21 +395,23 @@ def _load_instance_dir(path: Path):
             raise ConfigError(f"{path / 'meta.json'} must hold a JSON object")
     mode = meta.get("mode", WITHOUT_REPLACEMENT)
     pattern = ObservationPattern(n=observed.shape.n, indices=indices, mode=mode)
-    # the solver's own input rules, so input it would refuse is refused here
-    _check_supported(observed.z, pattern)
     truth = load_signal(path / "signal.hnkz") if (path / "signal.hnkz").is_file() else None
     if truth is not None:
         if truth.shape.n != observed.shape.n:
             raise ConfigError(f"signal.hnkz length {truth.shape.n} != observed {observed.shape.n}")
-        _error_against(truth.z)
+        # each file's weights follow its own split, so another split is another vector
+        if truth.shape != observed.shape:
+            raise ConfigError(
+                f"signal.hnkz split {truth.shape.n1}x{truth.shape.n2}"
+                f" != observed {observed.shape.n1}x{observed.shape.n2}"
+            )
     return observed, pattern, truth, meta
 
 
 def cmd_recover(params: dict, seed: int, out: Path) -> int:
     if not params["input"]:
         raise ConfigError("recover needs input=DIR pointing at generated files")
-    with _rejected_input():
-        observed, pattern, truth, meta = _load_instance_dir(Path(params["input"]))
+    observed, pattern, truth, meta = _load_instance_dir(Path(params["input"]))
     # a key not given takes meta.json's value, through the command line's cast
     meta.setdefault("alpha", 0.0)
     rank, alpha = (
@@ -546,8 +535,7 @@ def cmd_doa(params: dict, seed: int, out: Path) -> int:
     n = params["n"]
     thetas = params["thetas"]
     rank = len(thetas) if params["r"] is None else params["r"]
-    with _rejected_input():
-        sig = doa_signal(n, thetas)
+    sig = doa_signal(n, thetas)
     m = _sample_count(params["p"], n)
     pattern, f_obs, _ = _observe(
         sig, m, WITHOUT_REPLACEMENT, params["alpha"], params["magnitude_scale"], seed
@@ -605,13 +593,15 @@ def main(argv: list[str] | None = None) -> int:
             if not isinstance(raw, dict):
                 raise ConfigError(f"config file {config_file} must hold a JSON object")
         raw.update(given)
-        seed = _parse_int("seed", raw.pop("seed", 0))
+        seed = _parse_int("seed", raw.pop("seed", 0), 0)
+        if seed >= 2**64:
+            raise ConfigError(f"seed must be < 2**64, got {seed}")
         params = _apply_schema(command, raw)
         return _COMMANDS[command](params, seed, out)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (RuntimeError, ValueError, OSError) as exc:
+    except (*_SOLVE_FAILURES, OSError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 1
+    except (ConfigError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 

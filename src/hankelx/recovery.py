@@ -366,22 +366,22 @@ def hsnld_step(
     return _refresh(factors, f_obs, pattern, shape, config, state.iteration + 1, state.bound)
 
 
-def _error_against(z_true):
+def _error_against(z_true, n: int):
     """Relative l2 error (that of the embeddings too) against a truth whose norm is taken once.
 
-    A truth whose norm is zero, non-finite or overflowing defines no error and is refused.
+    A truth that is not a length-``n`` vector, or whose norm is zero, non-finite
+    or overflowing, defines no error and is refused.
     """
     b = np.asarray(z_true, dtype=np.complex128)
+    if b.shape != (n,):
+        raise ValueError(f"ground truth: expected length {n}, got {b.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         denom = np.linalg.norm(b)
     if not (np.isfinite(denom) and denom > 0):
         raise ValueError(f"ground truth norm must be finite and nonzero, got {denom}")
 
     def error(z_est) -> float:
-        a = np.asarray(z_est, dtype=np.complex128)
-        if a.shape != b.shape:
-            raise ValueError("length mismatch")
-        return float(np.linalg.norm(a - b) / denom)
+        return float(np.linalg.norm(np.asarray(z_est, dtype=np.complex128) - b) / denom)
 
     return error
 
@@ -395,7 +395,8 @@ def _run(
     ground_truth: np.ndarray | None = None,
 ) -> RecoveryReport:
     f_obs = np.asarray(f_obs, dtype=np.complex128)
-    error_of = (lambda z: math.nan) if ground_truth is None else _error_against(ground_truth)
+    no_truth = ground_truth is None
+    error_of = (lambda z: math.nan) if no_truth else _error_against(ground_truth, shape.n)
     start = time.perf_counter()
     init = spectral_init(
         f_obs, pattern, shape, config.rank, config.alpha,

@@ -198,8 +198,11 @@ def load_signal(path) -> WeightedSignal:
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
         payload = np.frombuffer(fh.read(16 * n), dtype="<f8")
+        trailing = fh.read(1)
     if payload.size != 2 * n:
         raise ValueError(f"{path}: truncated payload")
+    if trailing:
+        raise ValueError(f"{path}: trailing bytes after the payload")
     x = payload[0::2] + 1j * payload[1::2]
     return reweight(x, HankelShape(int(n1), int(n) - int(n1) + 1))
 

@@ -155,6 +155,14 @@ def _failing_hsnld(*args, **kwargs):
     raise RuntimeError("solver blew up")
 
 
+def _singular_hsnld(*args, **kwargs):
+    raise np.linalg.LinAlgError("solver blew up")
+
+
+def _refusing_hsnld(*args, **kwargs):
+    raise ValueError("input refused")
+
+
 def test_recover_degenerate_gram_writes_report(tmp_path):
     data = tmp_path / "data"
     # rank-1 data solved at rank 2 collapses the factor Gram matrix at once
@@ -170,15 +178,29 @@ def test_recover_degenerate_gram_writes_report(tmp_path):
 
 
 def test_recover_solver_error_exit_1(tmp_path, monkeypatch, capsys):
-    # an unexpected failure inside the solve exits 1 and writes no report
+    # a failed solve exits 1 and writes no report
     data = tmp_path / "data"
     assert run_cli("gen", "--out", str(data), "--seed", "8",
                    "kind=spectral", "n=64", "r=1") == 0
-    monkeypatch.setattr(cli, "run_hsnld", _failing_hsnld)
     out = tmp_path / "r"
-    assert run_cli("recover", "--out", str(out), f"input={data}", "r=1") == 1
-    assert capsys.readouterr().err == "solver error: solver blew up\n"
-    assert not out.exists()
+    for failing in (_failing_hsnld, _singular_hsnld):
+        monkeypatch.setattr(cli, "run_hsnld", failing)
+        assert run_cli("recover", "--out", str(out), f"input={data}", "r=1") == 1
+        assert capsys.readouterr().err == "solver error: solver blew up\n"
+        assert not out.exists()
+
+
+def test_solver_refusal_exit_2(tmp_path, monkeypatch, capsys):
+    # any other ValueError is refused input: exit 2, in a grid too, and no report
+    data = tmp_path / "data"
+    assert run_cli("gen", "--out", str(data), "kind=spectral", "n=64", "r=1") == 0
+    monkeypatch.setattr(cli, "run_hsnld", _refusing_hsnld)
+    out = tmp_path / "r"
+    for args in (["recover", f"input={data}"],
+                 ["phase", "n=64", "r=2", "m_values=64", "alpha_values=0", "trials=1"]):
+        assert run_cli(args[0], "--out", str(out), *args[1:]) == 2
+        assert capsys.readouterr().err == "error: input refused\n"
+        assert not out.exists()
 
 
 def test_converge_small_grid(tmp_path):
@@ -207,7 +229,12 @@ def test_converge_trials_csv_names_a_degenerate_gram(tmp_path):
 
 
 def test_grid_trials_csv_names_an_error(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "run_hsnld", _failing_hsnld)
+    for failing in (_failing_hsnld, _singular_hsnld):
+        _check_grid_names_an_error(tmp_path / failing.__name__, monkeypatch, failing)
+
+
+def _check_grid_names_an_error(tmp_path, monkeypatch, failing):
+    monkeypatch.setattr(cli, "run_hsnld", failing)
     args = ["converge", "--seed", "4", "n=64", "r=2", "kappas=1,2", "trials=2", "max_iters=50"]
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -292,6 +319,14 @@ def _set_entries(index, value):
         z = sig.z.copy()
         z[index] = value
         hankelx.save_signal(path, hankelx.WeightedSignal(sig.shape, z))
+    return edit
+
+
+def _resplit(n1):
+    """A file edit that re-saves a signal's raw values at another Hankel split."""
+    def edit(path):
+        x = hankelx.unweight(hankelx.load_signal(path))
+        hankelx.save_signal(path, hankelx.reweight(x, hankelx.HankelShape(n1, x.size - n1 + 1)))
     return edit
 
 
@@ -400,6 +435,13 @@ def _set_entries(index, value):
     (["gen", "--config", __file__], "bad config file"),
     (["gen", "kind=spectral", "n=64", "r=2", "--seed"], "flag --seed is missing a value"),
     (["gen", "frob"], "cannot parse argument 'frob'"),
+    (["recover", "input={gen}", {"signal.hnkz": _resplit(20)}],
+     "signal.hnkz split 20x45 != observed 33x32"),
+    (["recover", "input={gen}", {"observed.hnkz": lambda p: p.write_bytes(
+        p.read_bytes() + bytes(16))}], "observed.hnkz: trailing bytes after the payload"),
+    (["gen", "kind=spectral", "n=64", "r=2", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["gen", "kind=spectral", "n=64", "r=2", f"seed={2**64}"],
+     f"seed must be < 2**64, got {2**64}"),
 ], ids=["gen-m", "gen-alpha", "doa-p", "phase-m", "phase-r", "phase-eta", "phase-trials",
         "converge-eta", "converge-trials", "converge-solvers", "recover-r", "doa-n",
         "recover-tol-nan", "recover-bound-inf", "recover-pattern-blank-line",
@@ -416,7 +458,8 @@ def _set_entries(index, value):
         "recover-pattern-repeated", "recover-pattern-out-of-range", "recover-meta-mode",
         "recover-observed-truncated", "recover-observed-version", "gen-no-kind", "gen-n-one",
         "recover-no-input", "recover-no-rank", "recover-solver", "doa-thetas-empty",
-        "config-not-json", "flag-without-value", "bare-token"])
+        "config-not-json", "flag-without-value", "bare-token", "recover-truth-split",
+        "recover-observed-trailing", "seed-negative", "seed-too-large"])
 def test_setup_rejection_exit_2(tmp_path, capsys, args, named):
     if "input={gen}" in args:
         data = tmp_path / "gen"

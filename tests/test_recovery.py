@@ -792,7 +792,7 @@ def test_run_plain_gd_eta_zero_makes_no_progress():
 def test_error_against_basics(rng):
     # the relative error every solve records against its ground truth
     z = rand_complex(rng, 40)
-    error = _error_against(z)
+    error = _error_against(z, 40)
     assert error(z) == 0.0
     assert abs(error(np.zeros(40)) - 1.0) <= 1e-15
     assert abs(error(1.001 * z) - 1e-3) <= 1e-12
@@ -801,9 +801,25 @@ def test_error_against_basics(rng):
         warnings.simplefilter("error")
         for bad in (np.zeros(40), np.full(40, np.nan), np.full(40, np.inf), np.full(40, 1e300)):
             with pytest.raises(ValueError, match="ground truth norm must be finite and nonzero"):
-                _error_against(bad)
-    with pytest.raises(ValueError):
-        error(rand_complex(rng, 39))
+                _error_against(bad, 40)
+    # a truth of another length is refused where it enters, naming both lengths
+    with pytest.raises(ValueError, match=r"expected length 40, got \(39,\)"):
+        _error_against(rand_complex(rng, 39), 40)
+
+
+def test_wrong_length_truth_refused_before_the_init(monkeypatch):
+    n, r = 64, 2
+    sig, pattern, f_obs, _ = make_instance(n, r, 2.0, 50, 0.0, 171)
+    config = RecoveryConfig(rank=r, alpha=0.0)
+
+    def init_never_called(*args, **kwargs):
+        raise AssertionError("spectral_init ran on a refused input")
+
+    monkeypatch.setattr(recovery, "spectral_init", init_never_called)
+    for solve in (run_hsnld, run_plain_gd):
+        for truth in (sig.z[:-1], np.append(sig.z, 0.0), sig.z.reshape(1, n)):
+            with pytest.raises(ValueError, match=rf"ground truth: expected length {n}"):
+                solve(f_obs, pattern, sig.shape, config, ground_truth=truth)
 
 
 def test_approx_dist_zero_at_truth():
