@@ -254,7 +254,7 @@ def _write_run(out: Path, report: RecoveryReport, config: dict, success: bool, *
     _write_csv(
         out / "trace.csv",
         ["iter", "residual", "err", "ms"],
-        ([r.iteration, r.residual, r.error, r.seconds * 1000.0] for r in report.records),
+        ([i, r.residual, r.error, r.seconds * 1000.0] for i, r in enumerate(report.records)),
     )
 
 
@@ -282,9 +282,7 @@ def _sample_count(p: float, n: int) -> int:
     return _ceil_count(p * n)
 
 
-def _solver_config(
-    params: dict, shape: HankelShape, rank, alpha, seed, bound="auto"
-) -> RecoveryConfig:
+def _solver_config(params: dict, rank, alpha, seed, bound="auto") -> RecoveryConfig:
     """Checked solver settings for every command (bad ones exit 2); solver seed from ``seed``."""
     return RecoveryConfig(
         rank=rank,
@@ -308,7 +306,7 @@ def _trial(params, runner, trial_seed, rank, kappa, m, alpha):
     pattern, f_obs, _ = _observe(
         sig, m, WITHOUT_REPLACEMENT, alpha, params["magnitude_scale"], trial_seed
     )
-    config = _solver_config(params, sig.shape, rank, alpha, trial_seed)
+    config = _solver_config(params, rank, alpha, trial_seed)
     try:
         report = runner(f_obs, pattern, sig.shape, config, ground_truth=sig.z)
     except _SOLVE_FAILURES as exc:
@@ -422,7 +420,7 @@ def cmd_recover(params: dict, seed: int, out: Path) -> int:
     if rank is None:
         raise ConfigError("rank r must be given (or present in meta.json)")
     runner = _runner(params["solver"])
-    config = _solver_config(params, observed.shape, rank, alpha, seed, bound=params["bound"])
+    config = _solver_config(params, rank, alpha, seed, bound=params["bound"])
     report = runner(
         observed.z,
         pattern,
@@ -540,9 +538,9 @@ def cmd_doa(params: dict, seed: int, out: Path) -> int:
     pattern, f_obs, _ = _observe(
         sig, m, WITHOUT_REPLACEMENT, params["alpha"], params["magnitude_scale"], seed
     )
-    config = _solver_config(params, sig.shape, rank, params["alpha"], seed)
+    config = _solver_config(params, rank, params["alpha"], seed)
     report = run_hsnld(f_obs, pattern, sig.shape, config, ground_truth=sig.z)
-    errors = report.errors()
+    errors = np.array([rec.error for rec in report.records])
     hits = np.flatnonzero(errors <= error_tol)
     reached = int(hits[0]) if hits.size else -1
     _write_run(

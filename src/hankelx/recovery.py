@@ -120,7 +120,7 @@ class RecoveryConfig:
 
     def __post_init__(self):
         # a fractional or NaN max_iters is never reached, so the solve never stops
-        for name, low in (("rank", 1), ("max_iters", 0)):
+        for name, low in (("rank", 1), ("max_iters", 0), ("seed", 0)):
             _check_integer(name, getattr(self, name), low)
         _check_fraction("alpha", self.alpha)
         if not 0.0 <= self.eta <= 1.0:
@@ -146,7 +146,6 @@ def _check_radius(bound, name: str, allow_auto: bool = True):
 
 @dataclass
 class IterationRecord:
-    iteration: int
     residual: float
     error: float
     seconds: float
@@ -169,9 +168,6 @@ class RecoveryReport:
     @property
     def final_error(self) -> float:
         return self.records[-1].error
-
-    def errors(self) -> np.ndarray:
-        return np.array([rec.error for rec in self.records])
 
 
 def project_incoherence(L, R, bound: float) -> Factors:
@@ -243,6 +239,8 @@ class InitResult:
 
 
 def _check_supported(f_obs: np.ndarray, pattern: ObservationPattern):
+    if pattern.n != f_obs.size:
+        raise ValueError(f"pattern length {pattern.n} does not match signal length {f_obs.size}")
     # an overflowing norm would make every relative residual read 0
     with np.errstate(over="ignore", invalid="ignore"):
         norm = np.linalg.norm(f_obs)
@@ -425,7 +423,7 @@ def _run(
         with np.errstate(over="ignore"):
             res = residual_of(state)
             err = error_of(state.z.z)
-        records.append(IterationRecord(state.iteration, res, err, time.perf_counter() - start))
+        records.append(IterationRecord(res, err, time.perf_counter() - start))
         if res <= config.tol_residual:
             termination = "residual_tol"
             break

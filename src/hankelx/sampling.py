@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _check_integer
+
 __all__ = [
     "WITH_REPLACEMENT",
     "WITHOUT_REPLACEMENT",
@@ -57,9 +59,6 @@ class ObservationPattern:
         """Per-coordinate sample counts (0/1 in without-replacement mode), read-only."""
         return self._mult
 
-    def observed_set(self) -> np.ndarray:
-        return np.unique(self.indices)
-
 
 @dataclass
 class SparseEstimate:
@@ -108,8 +107,7 @@ def top_k_threshold(v, k: int) -> SparseEstimate:
     from the boundary ties in index order.
     """
     v = np.asarray(v, dtype=np.complex128)
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    _check_integer("k", k, 0)
     n = v.size
     out = np.zeros(n, dtype=np.complex128)
     if k == 0:

@@ -37,13 +37,10 @@ _REJECTION_CAP = 10_000
 
 @dataclass(frozen=True)
 class SpectralModel:
-    """Ground-truth parameters of a sum-of-exponentials signal."""
+    """The drawn tones of a :func:`spectral_signal`: its frequencies and amplitudes."""
 
-    n: int
-    r: int
     frequencies: np.ndarray
     amplitudes: np.ndarray
-    kappa: float
 
 
 @dataclass(frozen=True)
@@ -99,8 +96,7 @@ def spectral_signal(
         amps = 1.0 / kappa + np.arange(r) * (1.0 - 1.0 / kappa) / (r - 1)
     t = np.arange(n)
     x = (amps[None, :] * np.exp(2j * np.pi * t[:, None] * freqs[None, :])).sum(axis=1)
-    model = SpectralModel(n=n, r=r, frequencies=freqs, amplitudes=amps, kappa=kappa)
-    return reweight(x, shape), model
+    return reweight(x, shape), SpectralModel(freqs, amps)
 
 
 def doa_signal(n: int, thetas_deg, gains=None) -> WeightedSignal:
@@ -140,7 +136,7 @@ def inject_outliers(
     count = keep_count(1.0, spec.alpha, m, m)
     s = np.zeros(n, dtype=np.complex128)
     if count > 0:
-        observed = pattern.observed_set()
+        observed = np.unique(pattern.indices)
         if count > observed.size:
             raise ValueError(
                 f"cannot corrupt {count} entries; only {observed.size} observed"

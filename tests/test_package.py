@@ -1,14 +1,23 @@
 import ast
+import inspect
 import json
 import re
 import shlex
 import types
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import hankelx
 from hankelx import cli, hankel, linalg, recovery, sampling, signals
+from hankelx.hankel import HankelShape, WeightedSignal, lowrank_to_signal
+from hankelx.recovery import spectral_init
+from hankelx.sampling import WITHOUT_REPLACEMENT, ObservationPattern, project_obs, sample_pattern
+from hankelx.signals import OutlierSpec, inject_outliers, spectral_signal
 
 MODULES = (hankel, linalg, recovery, sampling, signals)
+ROOT = Path(__file__).parents[1]
 
 
 def test_package_exports_exactly_the_module_lists():
@@ -56,3 +65,50 @@ def test_cli_reruns_no_solver_rule():
         for alias in node.names if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_every_public_function_serves_more_than_its_unit_tests():
+    # a public function must be called in the package, or be used by the acceptance suite or README
+    used = set()
+    for path in Path(hankelx.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    shown = "".join(
+        (ROOT / name).read_text(encoding="utf-8")
+        for name in ("tests/test_acceptance.py", "README.md")
+    )
+    functions = [
+        name for mod in MODULES for name in mod.__all__ if inspect.isfunction(getattr(mod, name))
+    ]
+    assert functions
+    unused = [name for name in functions
+              if name not in used and not re.search(rf"\b{name}\b", shown)]
+    assert unused == []
+
+
+@pytest.mark.parametrize("refused, message", [
+    (lambda: HankelShape.square(0), "n must be positive"),
+    (lambda: WeightedSignal(HankelShape(50, 50), np.zeros(98)),
+     "signal length 98 does not match shape n=99"),
+    (lambda: lowrank_to_signal(np.zeros((49, 2)), np.zeros((50, 2)), HankelShape(50, 50)),
+     r"factor rows \(49, 50\) do not match shape \(50, 50\)"),
+    (lambda: ObservationPattern(4, np.zeros((2, 2)), WITHOUT_REPLACEMENT),
+     "indices must be a 1-D array"),
+    (lambda: project_obs(np.zeros(98), sample_pattern(99, 10, WITHOUT_REPLACEMENT, seed=0)),
+     r"expected length 99, got \(98,\)"),
+    (lambda: inject_outliers(
+        spectral_signal(99, 2, 2.0, seed=0)[0],
+        sample_pattern(98, 10, WITHOUT_REPLACEMENT, seed=0), OutlierSpec(0.1)),
+     "pattern length does not match signal"),
+    (lambda: spectral_init(
+        np.zeros(98), sample_pattern(99, 10, WITHOUT_REPLACEMENT, seed=0),
+        HankelShape(50, 50), 2, 0.1),
+     r"expected length 99, got \(98,\)"),
+])
+def test_input_refusal_messages(refused, message):
+    # one case for each refusal that no other test reaches
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        refused()

@@ -77,6 +77,9 @@ def test_config_validation():
     for max_iters in (2.5, np.nan, np.inf, True, -1, 10.0):
         with pytest.raises(ValueError, match="max_iters must be an integer"):
             RecoveryConfig(rank=1, alpha=0.1, max_iters=max_iters)
+    for seed in (-1, 1.5, True):
+        with pytest.raises(ValueError, match=rf"seed must be an integer >= 0, got {seed!r}$"):
+            RecoveryConfig(rank=1, alpha=0.1, seed=seed)
     RecoveryConfig(rank=np.int64(2), alpha=0.1, max_iters=np.int32(0))
     for alpha in (-0.1, 1.5, np.nan):
         with pytest.raises(ValueError, match="alpha must lie in"):
@@ -92,6 +95,27 @@ def test_config_validation():
     cfg = RecoveryConfig(rank=1, alpha=0.1, incoherence_bound=2.0, tol_residual=0.0)
     with pytest.raises(ValueError, match="eta must lie in"):
         replace(cfg, eta=3.0)
+
+
+def test_pattern_of_another_length_is_refused_before_solving():
+    # its mask used to index the observed vector deep in the solve: a bare IndexError
+    sig, _ = spectral_signal(101, 2, 2.0, seed=31)
+    pattern = sample_pattern(100, 80, WITHOUT_REPLACEMENT, seed=32)
+    config = RecoveryConfig(rank=2, alpha=0.0)
+    with pytest.raises(ValueError, match="pattern length 100 does not match signal length 101"):
+        run_hsnld(sig.z, pattern, sig.shape, config)
+
+
+@pytest.mark.parametrize("runner", [run_hsnld, run_plain_gd])
+def test_zero_observation_solve_stops_at_once(runner):
+    # a zero observed vector has residual 0 by definition; its estimated radius falls back to 1
+    shape = HankelShape.square(64)
+    pattern = sample_pattern(64, 40, WITHOUT_REPLACEMENT, seed=33)
+    report = runner(np.zeros(64), pattern, shape, RecoveryConfig(rank=2, alpha=0.1))
+    assert report.termination == "residual_tol"
+    assert report.iterations == 0
+    assert report.records[0].residual == 0.0
+    assert report.incoherence_bound == 1.0
 
 
 def test_fractional_max_iters_is_refused_before_solving():
@@ -631,7 +655,8 @@ def test_run_hsnld_trace_shape_and_determinism():
     assert len(a.records) == a.iterations + 1
     np.testing.assert_array_equal([rec.residual for rec in a.records],
                                   [rec.residual for rec in b.records])
-    np.testing.assert_array_equal(a.errors(), b.errors())
+    np.testing.assert_array_equal([rec.error for rec in a.records],
+                                  [rec.error for rec in b.records])
     np.testing.assert_array_equal(a.signal.z, b.signal.z)
 
 
@@ -785,7 +810,7 @@ def test_run_plain_gd_eta_zero_makes_no_progress():
     sig, pattern, f_obs, _ = make_instance(n, r, 2.0, 80, 0.0, 111)
     config = RecoveryConfig(rank=r, alpha=0.0, eta=0.0, max_iters=5)
     report = run_plain_gd(f_obs, pattern, sig.shape, config, ground_truth=sig.z)
-    errs = report.errors()
+    errs = np.array([rec.error for rec in report.records])
     np.testing.assert_allclose(errs, errs[0], rtol=1e-12)
 
 

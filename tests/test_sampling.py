@@ -45,7 +45,7 @@ def test_with_replacement_distinct_fraction():
     # expected distinct fraction 1 - (1 - 1/n)^n ~ 1 - 1/e
     n = 10_000
     fractions = [
-        sample_pattern(n, n, WITH_REPLACEMENT, seed=s).observed_set().size / n
+        np.unique(sample_pattern(n, n, WITH_REPLACEMENT, seed=s).indices).size / n
         for s in range(50)
     ]
     target = 1.0 - np.exp(-1.0)
@@ -75,6 +75,13 @@ def test_top_k_threshold_examples():
     zero = top_k_threshold(np.array([1.0, 2.0]), 0)
     np.testing.assert_array_equal(zero.s, [0, 0])
     assert np.flatnonzero(zero.s).size == 0
+
+
+@pytest.mark.parametrize("k", [-1, 2.5, True])
+def test_top_k_threshold_refuses_a_non_integer_count(k):
+    # True kept one entry, and 2.5 failed inside numpy's partition
+    with pytest.raises(ValueError, match=rf"k must be an integer >= 0, got {k!r}$"):
+        top_k_threshold(np.array([3.0, -1.0, 5.0]), k)
 
 
 def test_top_k_threshold_identity_when_k_large(rng):

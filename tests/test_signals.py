@@ -155,7 +155,7 @@ def test_inject_outliers_refuses_more_than_the_distinct_observed():
     # with replacement, m = 100 draws over n = 31 see at most 31 distinct entries
     sig, _ = spectral_signal(31, 2, 2.0, seed=19)
     pat = sample_pattern(31, 100, WITH_REPLACEMENT, seed=20)
-    distinct = pat.observed_set().size
+    distinct = np.unique(pat.indices).size
     with pytest.raises(ValueError, match=f"cannot corrupt 50 entries; only {distinct} observed"):
         inject_outliers(sig, pat, OutlierSpec(0.5, 10.0, 21))
 
