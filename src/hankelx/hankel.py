@@ -23,6 +23,13 @@ Per solver iteration this costs 4 transform calls over 4r + 2 rows: 2r + 1 to
 map the factors to a vector, and 2r + 1 for the step's two products, which
 reuse the factor spectra of that map and transform only the descent direction.
 
+Block budget of a solve.  The spectral initialization's randomized SVD drops
+each (width, N) block once it has been read, so it holds about two at a time.
+A step holds two (2r, N) blocks: the iterate's factor spectra, which it only
+reads, and its product block, which the refresh then fills with the next
+iterate's factor spectra.  A traced solve at n=4095, r=5 (width 15) peaks at
+3.8-4.0 (2r, N) blocks.
+
 Indexing is 0-based everywhere in this module's public API.
 """
 
@@ -149,8 +156,9 @@ def hankel_adjoint_dense(M, shape: HankelShape) -> WeightedSignal:
     return WeightedSignal(shape, z / _sqrt_counts(shape))
 
 
-def _lowrank_spectra(L, R, shape: HankelShape):
-    """:func:`lowrank_to_signal` and the (2r, N) row spectrum of L^T over R^H."""
+def _lowrank_spectra(L, R, shape: HankelShape, out: np.ndarray | None = None):
+    """:func:`lowrank_to_signal` and the (2r, N) row spectrum of L^T over R^H,
+    written into ``out`` (see :func:`_row_spectrum`) when one is given."""
     L = np.asarray(L, dtype=np.complex128)
     R = np.asarray(R, dtype=np.complex128)
     if L.ndim != 2 or R.ndim != 2 or L.shape[1] != R.shape[1] or L.shape[1] == 0:
@@ -161,7 +169,7 @@ def _lowrank_spectra(L, R, shape: HankelShape):
             f"({shape.n1}, {shape.n2})"
         )
     r = L.shape[1]
-    spec = _row_spectrum(_fft_length(shape.n), L, R)
+    spec = _row_spectrum(_fft_length(shape.n), L, R, out)
     # sum over j of spec_j * spec_{r+j}, row by row: the bytes of the (r, N)
     # product summed over axis 0, in two length-N vectors instead of that block
     acc = spec[0] * spec[r]
@@ -190,13 +198,19 @@ def hankel_matvec(sig: WeightedSignal, v) -> np.ndarray:
     return hankel_matmat(sig, v[:, None])[:, 0]
 
 
-def _row_spectrum(size: int, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
+def _row_spectrum(
+    size: int, A: np.ndarray, B: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
     """FFT of A's columns, then of conj(B)'s, zero-padded to ``size``, as the
     rows of one block.  Both are written straight into the rows, B conjugated
     on the way, and only the padding is zeroed: no conjugated copy of B and no
-    fill of the whole block."""
+    fill of the whole block.  The block is ``out`` when given (a C-contiguous
+    complex block of that shape, whose every entry is overwritten), else a
+    new one."""
     k = A.shape[1]
-    rows = np.empty((k + (0 if B is None else B.shape[1]), size), dtype=np.complex128)
+    rows = out
+    if rows is None:
+        rows = np.empty((k + (0 if B is None else B.shape[1]), size), dtype=np.complex128)
     rows[:k, : A.shape[0]] = A.T
     rows[:k, A.shape[0] :] = 0
     if B is not None:
@@ -213,9 +227,11 @@ def _correlate(spec: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -
     The one product kernel: spec is a (k, N) :func:`_row_spectrum` block, and
     the 1/N-scaled forward FFT of spec * conj(fft(y)) read at m is its inverse
     read at -m.  Callers keep m + t <= len(y) - 1 < N, so nothing wraps.  The
-    product goes to ``out``: a fresh block by default, or ``spec`` itself when
-    the caller owns it.  The transform runs in place (NumPy >= 2.0); a fresh
-    block cost 2-3x as much.
+    product goes to ``out``: a fresh block by default, which the caller owns
+    (the solver's step hands it on as the next iterate's spectra), or ``spec``
+    itself when the caller owns that (a public block product, whose result is a
+    view that keeps it alive).  The transform runs in place (NumPy >= 2.0); a
+    fresh block cost 2-3x as much.
     """
     prod = np.multiply(spec, np.fft.fft(y, spec.shape[1]).conj(), out=out)
     return np.fft.fft(prod, norm="forward", out=prod)
@@ -223,10 +239,14 @@ def _correlate(spec: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -
 
 def _factor_products(sig: WeightedSignal, spec: np.ndarray):
     """``hankel_matmat(sig, R)`` and ``hankel_rmatmat(sig, L)`` from the spectrum
-    block of :func:`_lowrank_spectra`: 2 FFT calls over 2r + 1 rows for both."""
+    block of :func:`_lowrank_spectra`: 2 FFT calls over 2r + 1 rows for both.
+
+    ``spec`` is only read.  The products go to a fresh (2r, N) block, which is
+    returned third: the second product is a view of it, and the caller owns it
+    and may overwrite it once that product has been read."""
     r = spec.shape[0] // 2
     out = _correlate(spec, unweight(sig))
-    return out[r:, : sig.shape.n1].conj().T, out[:r, : sig.shape.n2].T
+    return out[r:, : sig.shape.n1].conj().T, out[:r, : sig.shape.n2].T, out
 
 
 def _block_product(y: np.ndarray, W, rows: int) -> np.ndarray:

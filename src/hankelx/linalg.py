@@ -104,19 +104,28 @@ def truncated_svd(
     rank-r signal plus sampling noise does, one pass finds the leading subspace
     (Halko, Martinsson and Tropp, SIAM Review 2011); more passes cost two
     block products each and save the solver no iterations.
+
+    Memory: a product from ``matvec``/``rmatvec`` may be a view that pins a
+    larger block (the FFT products' (width, N) spectrum block).  Each product
+    is dropped as soon as its QR has read it, and each basis, the Gaussian
+    block first, as soon as its product exists, so at most one such block and
+    one basis are alive, besides the QR's own copy.  The last product, W, is
+    kept until U and V are formed.
     """
     _check_rank(rank, n1, n2)
     width = min(rank + max(10, 2 * rank), min(n1, n2))
     rng = np.random.default_rng(seed)
 
     # the same bytes as a + 1j*b, with one complex allocation instead of two
-    block = np.empty((n2, width), dtype=np.complex128)
-    block.real = rng.standard_normal((n2, width))
-    block.imag = rng.standard_normal((n2, width))
-    Q, _ = np.linalg.qr(matvec(block))
-    for _ in range(power_iters):
-        Z, _ = np.linalg.qr(rmatvec(Q))
-        Q, _ = np.linalg.qr(matvec(Z))
+    Q = np.empty((n2, width), dtype=np.complex128)
+    Q.real = rng.standard_normal((n2, width))
+    Q.imag = rng.standard_normal((n2, width))
+    # Q is the current basis, at first the Gaussian block; see "Memory" above
+    for product in (matvec,) + (rmatvec, matvec) * power_iters:
+        Y = product(Q)
+        del Q
+        Q, _ = np.linalg.qr(Y)
+        del Y
 
     W = rmatvec(Q)  # (n2, width); the projected matrix is W^H
     w, E = _hermitian_eigh(W.conj().T @ W)

@@ -320,12 +320,20 @@ class IterateState:
     gap: np.ndarray
     iteration: int
     bound: float
-    spectra: np.ndarray  # (2r, N) spectrum of the rows of L^T over R^H, reused by the step
+    # (2r, N) spectrum of the rows of L^T over R^H, which the step only reads.
+    # It is the previous step's product block, or a new one for iterate 0, and
+    # is freed with the iterate once the next step has returned.
+    spectra: np.ndarray
 
 
-def _refresh(factors: Factors, f_obs, pattern, shape, config, iteration, bound) -> IterateState:
-    """Estimates for a factor pair; outliers are ranked by raw magnitude, as in init."""
-    z, spectra = _lowrank_spectra(factors.L, factors.R, shape)
+def _refresh(
+    factors: Factors, f_obs, pattern, shape, config, iteration, bound, block=None
+) -> IterateState:
+    """Estimates for a factor pair; outliers are ranked by raw magnitude, as in init.
+
+    The factor spectra are written into ``block``, a spent (2r, N) product
+    block of the step, when one is given, else into a new block."""
+    z, spectra = _lowrank_spectra(factors.L, factors.R, shape, block)
     k = keep_count(_default_gamma(iteration), config.alpha, pattern.m, shape.n)
     s = _sparsify(f_obs - project_obs(z.z, pattern), k, shape)
     gap = project_obs(z.z + s.s, pattern) - f_obs
@@ -349,7 +357,7 @@ def hsnld_step(
     """
     current = state.factors
     eta = config.eta
-    grad_l, grad_r = _factor_products(_descent_direction(state, pattern), state.spectra)
+    grad_l, grad_r, block = _factor_products(_descent_direction(state, pattern), state.spectra)
     if current.eig is None:
         raise DegenerateGramError("degenerate factor Gram matrix (zero or non-finite input)")
     inv_gram_l, inv_gram_r = _inverse_from_eigh(*current.eig)
@@ -361,7 +369,11 @@ def hsnld_step(
     new_r = (1.0 - eta) * current.R
     new_r -= grad_r @ (eta * inv_gram_l)
     factors = project_incoherence(new_l, new_r, state.bound)
-    return _refresh(factors, f_obs, pattern, shape, config, state.iteration + 1, state.bound)
+    # both products have been read (grad_r is a view of their block), so the
+    # block takes the new spectra
+    del grad_l, grad_r
+    return _refresh(factors, f_obs, pattern, shape, config, state.iteration + 1, state.bound,
+                    block)
 
 
 def _error_against(z_true, n: int):
@@ -406,6 +418,7 @@ def _run(
         sigma1 = 1.0
 
     state = _refresh(init.factors, f_obs, pattern, shape, config, 0, bound)
+    del init  # else it pins the init factors past the first step
     denom = np.linalg.norm(f_obs)
     records: list[IterationRecord] = []
 
@@ -457,12 +470,14 @@ def _plain_gd_step(state, f_obs, pattern, shape, config, sigma1) -> IterateState
     """Same gradients without the Gram preconditioners; step scaled by 1/sigma1."""
     L, R = state.factors.L, state.factors.R
     step = config.eta / sigma1
-    grad_l, grad_r = _factor_products(_descent_direction(state, pattern), state.spectra)
+    grad_l, grad_r, block = _factor_products(_descent_direction(state, pattern), state.spectra)
     gram_l, gram_r = state.factors.grams
     grad_l += L @ gram_r
     grad_r += R @ gram_l
     factors = project_incoherence(L - step * grad_l, R - step * grad_r, state.bound)
-    return _refresh(factors, f_obs, pattern, shape, config, state.iteration + 1, state.bound)
+    del grad_l, grad_r  # read, as in hsnld_step: the product block takes the new spectra
+    return _refresh(factors, f_obs, pattern, shape, config, state.iteration + 1, state.bound,
+                    block)
 
 
 def run_hsnld(

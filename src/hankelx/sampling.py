@@ -41,9 +41,10 @@ class ObservationPattern:
             raise ValueError("indices must be a 1-D array")
         if idx.size and (idx.min() < 0 or idx.max() >= self.n):
             raise ValueError("indices out of range")
-        if self.mode == WITHOUT_REPLACEMENT and np.unique(idx).size != idx.size:
+        counts = np.bincount(idx, minlength=self.n)
+        if self.mode == WITHOUT_REPLACEMENT and counts.max(initial=0) > 1:
             raise ValueError("without-replacement pattern has repeated indices")
-        mult = np.bincount(idx, minlength=self.n).astype(np.float64)
+        mult = counts.astype(np.float64)
         mult.setflags(write=False)
         object.__setattr__(self, "_mult", mult)
 

@@ -136,7 +136,7 @@ def inject_outliers(
     count = keep_count(1.0, spec.alpha, m, m)
     s = np.zeros(n, dtype=np.complex128)
     if count > 0:
-        observed = np.unique(pattern.indices)
+        observed = np.flatnonzero(pattern.multiplicities())  # sorted distinct indices
         if count > observed.size:
             raise ValueError(
                 f"cannot corrupt {count} entries; only {observed.size} observed"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,18 @@ def rel_err(a, b):
     b = np.asarray(b)
     denom = np.linalg.norm(b)
     return np.linalg.norm(a - b) / (denom if denom else 1.0)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees during a second call of ``fn``; the
+    first call warms up caches (FFT plans, weights) that a solve reuses."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -227,7 +227,7 @@ def test_fast_dense_equivalence_across_sizes(rng):
                 assert rel_err(z.z, hankel_adjoint_dense(L @ R.conj().T, shape).z) <= 1e-11
                 np.testing.assert_array_equal(lowrank_to_signal(L, R, shape).z, z.z)
                 # the step's products, from the spectra the refresh keeps
-                matmat, rmatmat = _factor_products(sig, spec)
+                matmat, rmatmat, _ = _factor_products(sig, spec)
                 assert rel_err(matmat, dense @ R) <= 1e-11, (shape, r)
                 assert rel_err(rmatmat, dense.conj().T @ L) <= 1e-11, (shape, r)
             # a zero-width block gives a zero-width product

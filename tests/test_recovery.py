@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -36,7 +35,7 @@ from hankelx.sampling import (
 )
 from hankelx.signals import OutlierSpec, inject_outliers, spectral_signal
 
-from conftest import approx_dist, rand_complex, rel_err
+from conftest import approx_dist, rand_complex, rel_err, traced_peak
 
 
 def truth_factors(sig, r):
@@ -372,7 +371,7 @@ def _longhand_update(state, pattern, shape, config, sigma1=None):
     formed afresh and inverted from its own eigh; plain descent when sigma1 is given."""
     L, R = state.factors.L, state.factors.R
     direction = WeightedSignal(shape, state.gap / pattern.rate - state.z.z)
-    grad_l, grad_r = _factor_products(direction, state.spectra)
+    grad_l, grad_r, _ = _factor_products(direction, state.spectra)
     gram_l, gram_r = L.conj().T @ L, R.conj().T @ R
     if sigma1 is not None:
         step = config.eta / sigma1
@@ -559,13 +558,7 @@ def test_block_product_allocation_budget():
     sig = WeightedSignal(shape, rand_complex(rng, n))
     V = rand_complex(rng, shape.n2, k)
     block = k * 4096 * np.dtype(np.complex128).itemsize
-    hankel_matmat(sig, V)
-    tracemalloc.start()
-    try:
-        hankel_matmat(sig, V)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: hankel_matmat(sig, V))
     assert peak <= 1.5 * block, f"peak {peak / block:.2f} blocks"
 
 
@@ -579,19 +572,54 @@ def test_lowrank_spectra_allocation_budget():
     L = rand_complex(rng, shape.n1, r)
     R = rand_complex(rng, shape.n2, r)
     block = 2 * r * 4096 * np.dtype(np.complex128).itemsize
-    z, spec = _lowrank_spectra(L, R, shape)
-    tracemalloc.start()
-    try:
-        _lowrank_spectra(L, R, shape)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: _lowrank_spectra(L, R, shape))
     assert peak <= 1.35 * block, f"peak {peak / block:.2f} blocks"
     # the row-by-row sum has the bytes of the product block summed over axis 0
     for cols in (1, 2, r):
         z, spec = _lowrank_spectra(L[:, :cols], R[:, :cols], shape)
         summed = np.fft.ifft((spec[:cols] * spec[cols:]).sum(axis=0))[:n]
         assert z.z.tobytes() == (summed / _sqrt_counts(shape)).tobytes()
+
+
+def test_spectral_init_allocation_budget():
+    # the Gaussian block is dropped once its product exists, each product
+    # (a view pinning its (width, N) spectrum block) right after its QR, and
+    # each basis once its product exists: no more than two blocks at a time
+    n, r = 4095, 5
+    sig, pattern, f_obs, _ = make_instance(n, r, 20.0, n // 2, 0.1, 199)
+    block = (r + max(10, 2 * r)) * 4096 * np.dtype(np.complex128).itemsize
+    peak = traced_peak(lambda: spectral_init(f_obs, pattern, sig.shape, r, 0.1))
+    assert peak <= 2.5 * block, f"peak {peak / block:.2f} blocks"
+
+
+@pytest.mark.parametrize("solve", [run_hsnld, run_plain_gd])
+def test_solve_allocation_budget(solve):
+    # the init's peak, then per step the input iterate's spectra plus one
+    # product block, which the refresh fills with the next iterate's spectra;
+    # the init's result is not kept once the first iterate exists
+    n, r = 4095, 5
+    sig, pattern, f_obs, _ = make_instance(n, r, 20.0, n // 2, 0.1, 199)
+    config = RecoveryConfig(rank=r, alpha=0.1, max_iters=4)
+    assert solve(f_obs, pattern, sig.shape, config).iterations == config.max_iters
+    block = 2 * r * 4096 * np.dtype(np.complex128).itemsize
+    peak = traced_peak(lambda: solve(f_obs, pattern, sig.shape, config))
+    assert peak <= 4.25 * block, f"peak {peak / block:.2f} blocks"
+
+
+def test_step_block_handoff_does_not_alias():
+    # a step's product block becomes the next iterate's spectra; stepping one
+    # state twice gives the same bytes, each time in a block of its own
+    shape, pattern, f_obs, config, sigma1, start = _mid_solve_state(255, 5, 197)
+    for step in (
+        lambda st: hsnld_step(st, f_obs, pattern, shape, config),
+        lambda st: _plain_gd_step(st, f_obs, pattern, shape, config, sigma1),
+    ):
+        state = step(start)  # its spectra are a handed-off product block
+        first, second = step(state), step(state)
+        _assert_same_bytes(first, second)
+        assert not np.shares_memory(first.spectra, second.spectra)
+        for new in (first, second):
+            assert not np.shares_memory(new.spectra, state.spectra)
 
 
 def test_run_hsnld_clean_full_observation_fast():
