@@ -53,8 +53,9 @@ from .signals import (
 )
 
 SUCCESS_ERROR_TOL = 1e-3
-# the array scenario's source angles, in degrees
+# the array scenario's source angles, in degrees, and its outlier scale
 _DOA_THETAS = (87.0, 87.1, 87.3)
+_DOA_MAGNITUDE_SCALE = 1.0
 # a solve that fails; LinAlgError is numpy's one ValueError that is not a refusal of input
 _SOLVE_FAILURES = (np.linalg.LinAlgError, RuntimeError)
 
@@ -88,7 +89,15 @@ def _parse_bound(text):
     return float(text)
 
 
-# a None default means "not given"; no value given is ever read as that
+# RecoveryConfig's keys and defaults, as _solver_config passes them on
+_SOLVER_KEYS = {
+    "eta": (float, RecoveryConfig.eta),
+    "max_iters": (int, RecoveryConfig.max_iters),
+    "tol_residual": (float, RecoveryConfig.tol_residual),
+}
+_GRID_KEYS = {**_SOLVER_KEYS, "magnitude_scale": (float, OutlierSpec.magnitude_scale)}
+
+# a None default means "not given"; summary.json echoes left-out keys in this order
 _SCHEMAS = {
     "gen": {
         "kind": (str, None),
@@ -107,10 +116,10 @@ _SCHEMAS = {
         "input": (str, None),
         "r": (int, None),
         "alpha": (float, None),
-        "eta": (float, 0.5),
-        "bound": (_parse_bound, "auto"),
-        "max_iters": (int, 1000),
-        "tol_residual": (float, 1e-5),
+        "eta": _SOLVER_KEYS["eta"],
+        "bound": (_parse_bound, RecoveryConfig.incoherence_bound),
+        "max_iters": _SOLVER_KEYS["max_iters"],
+        "tol_residual": _SOLVER_KEYS["tol_residual"],
         "solver": (str, "hsnld"),
     },
     "converge": {
@@ -121,10 +130,7 @@ _SCHEMAS = {
         "p": (float, 0.8),
         "alpha": (float, 0.05),
         "trials": (lambda value: _parse_int("trials", value, 1), 5),
-        "eta": (float, 0.5),
-        "max_iters": (int, 1000),
-        "tol_residual": (float, 1e-5),
-        "magnitude_scale": (float, 10.0),
+        **_GRID_KEYS,
     },
     "phase": {
         "n": (int, 125),
@@ -136,10 +142,7 @@ _SCHEMAS = {
         "alpha_values": (_list_of(float), []),
         "r_values": (_list_of(float), []),
         "trials": (lambda value: _parse_int("trials", value, 1), 20),
-        "eta": (float, 0.5),
-        "max_iters": (int, 1000),
-        "tol_residual": (float, 1e-5),
-        "magnitude_scale": (float, 10.0),
+        **_GRID_KEYS,
     },
     # the DOA protocol terminates on true error, so the solver runs with a
     # much tighter residual tolerance and the error crossing is read off the
@@ -150,8 +153,8 @@ _SCHEMAS = {
         "r": (int, None),
         "p": (float, 0.015),
         "alpha": (float, 0.10),
-        "magnitude_scale": (float, 1.0),
-        "eta": (float, 0.5),
+        "magnitude_scale": (float, _DOA_MAGNITUDE_SCALE),
+        "eta": _SOLVER_KEYS["eta"],
         "max_iters": (int, 216),
         "tol_residual": (float, 1e-8),
         "error_tol": (float, 1e-5),
@@ -282,16 +285,14 @@ def _sample_count(p: float, n: int) -> int:
     return _ceil_count(p * n)
 
 
-def _solver_config(params: dict, rank, alpha, seed, bound="auto") -> RecoveryConfig:
+def _solver_config(params: dict, rank, alpha, seed) -> RecoveryConfig:
     """Checked solver settings for every command (bad ones exit 2); solver seed from ``seed``."""
     return RecoveryConfig(
         rank=rank,
         alpha=alpha,
-        eta=params["eta"],
-        incoherence_bound=bound,
-        max_iters=params["max_iters"],
-        tol_residual=params["tol_residual"],
+        incoherence_bound=params.get("bound", RecoveryConfig.incoherence_bound),
         seed=derive_seed(seed, "solver"),
+        **{key: params[key] for key in _SOLVER_KEYS},
     )
 
 
@@ -346,7 +347,7 @@ def cmd_gen(params: dict, seed: int, out: Path) -> int:
     if m is None:  # with neither m nor p, every entry is observed
         m = n if p is None else _sample_count(p, n)
     if scale is None:
-        scale = 10.0 if kind == "spectral" else 1.0
+        scale = OutlierSpec.magnitude_scale if kind == "spectral" else _DOA_MAGNITUDE_SCALE
     alpha = params["alpha"]
 
     pattern, f_obs, s_true = _observe(sig, m, params["mode"], alpha, scale, seed)
@@ -420,7 +421,7 @@ def cmd_recover(params: dict, seed: int, out: Path) -> int:
     if rank is None:
         raise ConfigError("rank r must be given (or present in meta.json)")
     runner = _runner(params["solver"])
-    config = _solver_config(params, rank, alpha, seed, bound=params["bound"])
+    config = _solver_config(params, rank, alpha, seed)
     report = runner(
         observed.z,
         pattern,

@@ -8,13 +8,12 @@ the FFT products, so the large dimension is only touched through those.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .hankel import WeightedSignal, hankel_matmat, hankel_rmatmat
+from .hankel import WeightedSignal, _check_integer, hankel_matmat, hankel_rmatmat
 
 __all__ = [
     "DegenerateGramError",
@@ -30,12 +29,6 @@ class DegenerateGramError(RuntimeError):
 def _invertible_input(G: np.ndarray) -> bool:
     """Whether every matrix of a stack of Grams is finite and nonzero."""
     return bool(np.isfinite(G).all() and np.any(G, axis=(-2, -1)).all())
-
-
-def _check_integer(name: str, value, low: int):
-    """Refuse a value that is not an integer >= low; bools and floats included."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _check_rank(rank, n1: int, n2: int):

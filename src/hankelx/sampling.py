@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _check_integer
+from .hankel import _check_integer
 
 __all__ = [
     "WITH_REPLACEMENT",
@@ -33,12 +33,15 @@ class ObservationPattern:
     mode: str
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        object.__setattr__(self, "indices", idx)
+        idx = np.asarray(self.indices)
         if self.mode not in (WITH_REPLACEMENT, WITHOUT_REPLACEMENT):
             raise ValueError(f"unknown sampling mode {self.mode!r}")
         if idx.ndim != 1:
             raise ValueError("indices must be a 1-D array")
+        if idx.size and idx.dtype.kind not in "iu":  # a cast would floor fractions
+            raise ValueError(f"indices must be integers, got {idx.dtype}")
+        idx = idx.astype(np.int64, copy=False)
+        object.__setattr__(self, "indices", idx)
         if idx.size and (idx.min() < 0 or idx.max() >= self.n):
             raise ValueError("indices out of range")
         counts = np.bincount(idx, minlength=self.n)

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -12,7 +13,8 @@ import pytest
 import hankelx
 from hankelx import cli
 from hankelx.cli import derive_seed, main
-from hankelx.signals import condition_number, load_signal
+from hankelx.recovery import RecoveryConfig
+from hankelx.signals import OutlierSpec, condition_number, load_signal
 
 
 def run_cli(*args):
@@ -674,6 +676,45 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "signal.hnkz").is_file()
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["-h"], 0), ([], 2)])
+def test_usage_paths(capsys, argv, code):
+    assert main(argv) == code
+    assert "hankelx <gen|recover|converge|phase|doa>" in capsys.readouterr().out
+
+
+def test_solver_defaults_come_from_the_library(tmp_path, monkeypatch):
+    # a fresh copy of the CLI, built while the library states other defaults,
+    # must take every one of them; the DOA protocol's own settings stay
+    changed = {"eta": 0.25, "max_iters": 777, "tol_residual": 3e-6, "incoherence_bound": 2.5}
+    for name, value in changed.items():
+        monkeypatch.setattr(RecoveryConfig, name, value)
+    monkeypatch.setattr(OutlierSpec, "magnitude_scale", 7.0)
+    spec = importlib.util.spec_from_file_location("hankelx._cli_probe", cli.__file__)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+
+    defaults = {command: {key: default for key, (_, default) in schema.items()}
+                for command, schema in probe._SCHEMAS.items()}
+    for command in ("recover", "converge", "phase", "doa"):
+        assert defaults[command]["eta"] == 0.25
+    for command in ("recover", "converge", "phase"):
+        assert defaults[command]["max_iters"] == 777
+        assert defaults[command]["tol_residual"] == 3e-6
+    assert defaults["recover"]["bound"] == 2.5
+    for command in ("converge", "phase"):
+        assert defaults[command]["magnitude_scale"] == 7.0
+    assert (defaults["doa"]["max_iters"], defaults["doa"]["tol_residual"]) == (216, 1e-8)
+
+    config = probe._solver_config(probe._apply_schema("phase", {}), 2, 0.0, 0)
+    assert (config.eta, config.max_iters, config.tol_residual) == (0.25, 777, 3e-6)
+    assert config.incoherence_bound == 2.5
+    for kind, scale in (("spectral", 7.0), ("doa", defaults["doa"]["magnitude_scale"])):
+        out = tmp_path / kind
+        args = ["kind=spectral", "r=2"] if kind == "spectral" else ["kind=doa"]
+        assert probe.main(["gen", "--out", str(out), "n=64", "alpha=0.1", *args]) == 0
+        assert json.loads((out / "meta.json").read_text())["magnitude_scale"] == scale
 
 
 def test_derive_seed_stable():

@@ -40,6 +40,19 @@ def test_shape_identity_and_square_default():
         HankelShape(0, 3)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: HankelShape(True, 3), "n1 must be an integer >= 1, got True"),
+    (lambda: HankelShape(3, 2.5), "n2 must be an integer >= 1, got 2.5"),
+    (lambda: HankelShape(3.0, 3), "n1 must be an integer >= 1, got 3.0"),
+    (lambda: HankelShape.square(5.0), "n must be an integer >= 1, got 5.0"),
+])
+def test_shape_refuses_non_integer_splits(build, message):
+    # a bool split used to solve as 1 x n2, a fractional one to fail inside numpy
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        build()
+    assert HankelShape(np.int64(3), np.int32(2)).n == 4
+
+
 def test_antidiagonal_counts_examples():
     np.testing.assert_array_equal(antidiagonal_counts(HankelShape(3, 3)), [1, 2, 3, 2, 1])
     np.testing.assert_array_equal(antidiagonal_counts(HankelShape(2, 4)), [1, 2, 2, 2, 1])

@@ -60,6 +60,22 @@ def test_project_obs_identity_and_empty(rng):
     np.testing.assert_array_equal(project_obs(v, empty), np.zeros(6))
 
 
+@pytest.mark.parametrize("indices", [[0.9, 1.1], [0.9, 0.2], [True, False], np.array([1.0, 2.0])])
+def test_pattern_refuses_non_integer_indices(indices):
+    # an int64 cast used to floor [0.9, 1.1] to [0, 1] and call [0.9, 0.2] repeated
+    with pytest.raises(ValueError, match=r"^indices must be integers, got (float64|bool)$"):
+        ObservationPattern(5, indices, WITHOUT_REPLACEMENT)
+
+
+def test_pattern_keeps_integer_indices():
+    for indices in ([0, 3], np.array([0, 3], dtype=np.uint8), np.array([0, 3], dtype=np.int64)):
+        pat = ObservationPattern(5, indices, WITHOUT_REPLACEMENT)
+        assert pat.indices.dtype == np.int64
+        np.testing.assert_array_equal(pat.indices, [0, 3])
+    same = np.array([1, 4], dtype=np.int64)
+    assert ObservationPattern(5, same, WITHOUT_REPLACEMENT).indices is same
+
+
 def test_project_obs_multiplicity():
     pat = ObservationPattern(3, np.array([2, 2]), WITH_REPLACEMENT)
     np.testing.assert_array_equal(
