@@ -83,12 +83,6 @@ def _list_of(cast):
     return parse
 
 
-def _parse_bound(text):
-    if isinstance(text, str) and text == "auto":
-        return "auto"
-    return float(text)
-
-
 # RecoveryConfig's keys and defaults, as _solver_config passes them on
 _SOLVER_KEYS = {
     "eta": (float, RecoveryConfig.eta),
@@ -97,7 +91,7 @@ _SOLVER_KEYS = {
 }
 _GRID_KEYS = {**_SOLVER_KEYS, "magnitude_scale": (float, OutlierSpec.magnitude_scale)}
 
-# a None default means "not given"; summary.json echoes left-out keys in this order
+# a None default means "not given"; summary.json echoes every key in this order
 _SCHEMAS = {
     "gen": {
         "kind": (str, None),
@@ -117,7 +111,6 @@ _SCHEMAS = {
         "r": (int, None),
         "alpha": (float, None),
         "eta": _SOLVER_KEYS["eta"],
-        "bound": (_parse_bound, RecoveryConfig.incoherence_bound),
         "max_iters": _SOLVER_KEYS["max_iters"],
         "tol_residual": _SOLVER_KEYS["tol_residual"],
         "solver": (str, "hsnld"),
@@ -164,17 +157,18 @@ _SCHEMAS = {
 
 def _apply_schema(command: str, raw: dict) -> dict:
     schema = _SCHEMAS[command]
-    params = {}
-    for key, value in raw.items():
+    for key in raw:
         if key not in schema:
             raise ConfigError(f"unknown key {key!r} for command {command!r}")
-        caster = schema[key][0]
+    params = {}
+    for key, (caster, default) in schema.items():
+        if key not in raw:
+            params[key] = default
+            continue
         try:
-            params[key] = _parse_int(key, value) if caster is int else caster(value)
+            params[key] = _parse_int(key, raw[key]) if caster is int else caster(raw[key])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}") from exc
-    for key, (_, default) in schema.items():
-        params.setdefault(key, default)
     return params
 
 
@@ -290,7 +284,6 @@ def _solver_config(params: dict, rank, alpha, seed) -> RecoveryConfig:
     return RecoveryConfig(
         rank=rank,
         alpha=alpha,
-        incoherence_bound=params.get("bound", RecoveryConfig.incoherence_bound),
         seed=derive_seed(seed, "solver"),
         **{key: params[key] for key in _SOLVER_KEYS},
     )

@@ -63,13 +63,13 @@ __all__ = [
 # the iteration stalls.  Any factor >= 1 keeps the projection non-expansive.
 AUTO_BOUND_SAFETY = 1.5
 
-# A solve with an estimated radius stops ("clipped") after this many
-# consecutive iterates whose projection shrank a row.  A recoverable truth
-# sits well inside the estimated ball: on the n=125, r=10 phase grid (480
-# trials at each of seeds 99173-99176) no success ever clipped, while a third
-# of the failures pressed on the ball for hundreds of iterations.  10 stopped
-# 38, 36, 35 and 42 failures, lost no success and saved 16-18% of grid
-# iterations; 50 saved 9-11% at the first two seeds.
+# A solve stops ("clipped") after this many consecutive iterates whose
+# projection shrank a row.  A recoverable truth sits well inside the estimated
+# ball: on the n=125, r=10 phase grid (480 trials at each of seeds
+# 99173-99176) no success ever clipped, while a third of the failures pressed
+# on the ball for hundreds of iterations.  10 stopped 38, 36, 35 and 42
+# failures, lost no success and saved 16-18% of grid iterations; 50 saved
+# 9-11% at the first two seeds.
 CLIP_STOP_ITERS = 10
 
 
@@ -113,7 +113,6 @@ class RecoveryConfig:
     rank: int
     alpha: float
     eta: float = 0.5
-    incoherence_bound: float | str = "auto"
     max_iters: int = 1000
     tol_residual: float = 1e-5
     seed: int = 0
@@ -125,23 +124,9 @@ class RecoveryConfig:
         _check_fraction("alpha", self.alpha)
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        _check_radius(self.incoherence_bound, "incoherence_bound")
         # a NaN tolerance would never stop the solve, yet report no fault
         if not (math.isfinite(self.tol_residual) and self.tol_residual >= 0):
             raise ValueError(f"tol_residual must be finite and >= 0, got {self.tol_residual}")
-
-
-def _check_radius(bound, name: str, allow_auto: bool = True):
-    """Refuse an incoherence radius that is neither finite and positive nor "auto".
-
-    The projection compares squared norms with bound^2, so a negative radius
-    would pass for its absolute value, and a NaN one would clip nothing.
-    """
-    if allow_auto and isinstance(bound, str):
-        if bound != "auto":
-            raise ValueError(f"{name} must be 'auto' or a number, got {bound!r}")
-    elif isinstance(bound, str) or not (math.isfinite(bound) and bound > 0):
-        raise ValueError(f"{name} must be finite and positive, got {bound}")
 
 
 @dataclass
@@ -191,7 +176,10 @@ def project_incoherence(L, R, bound: float) -> Factors:
     result's ``clipped_rows`` counts the rows shrunk on both sides; the
     solver's ``"clipped"`` stop reads it.
     """
-    _check_radius(bound, "bound", allow_auto=False)
+    # squared norms meet bound^2: a negative radius would pass for its absolute
+    # value, and a NaN one would clip nothing
+    if not (math.isfinite(bound) and bound > 0):
+        raise ValueError(f"bound must be finite and positive, got {bound}")
     factors = Factors(L, R)
     gram_l, gram_r = factors.grams
     # a zero or non-finite Gram fails the screen: every row norm is computed
@@ -269,7 +257,6 @@ def spectral_init(
     shape: HankelShape,
     rank: int,
     alpha: float,
-    bound: float | str = "auto",
     seed: int = 0,
 ) -> InitResult:
     """One-shot initialization: clean, rescale, truncate, project.
@@ -278,9 +265,10 @@ def spectral_init(
     ranked by raw magnitude, see :func:`_sparsify`) are treated as outliers
     and removed, the remainder is scaled by 1/p to compensate for sampling,
     and the top-rank SVD of the resulting implicit Hankel matrix (the one
-    Hankel SVD, :func:`linalg._hankel_svd`) seeds the factors.  When ``bound``
-    is "auto" the incoherence radius is estimated from the leading singular
-    vectors' row norms and the top singular value.
+    Hankel SVD, :func:`linalg._hankel_svd`) seeds the factors.  The
+    incoherence radius, which the paper sets from the unknown truth, is
+    estimated as ``AUTO_BOUND_SAFETY`` times the leading singular vectors'
+    largest row norm times the top singular value (1 if that is 0).
     """
     f_obs = np.asarray(f_obs, dtype=np.complex128)
     n1, n2, n = shape.n1, shape.n2, shape.n
@@ -288,26 +276,22 @@ def spectral_init(
         raise ValueError(f"expected length {n}, got {f_obs.shape}")
     _check_rank(rank, n1, n2)
     _check_fraction("alpha", alpha)
-    _check_radius(bound, "bound")
     _check_supported(f_obs, pattern)
 
     s0 = _sparsify(f_obs, keep_count(1.0, alpha, pattern.m, n), shape)
 
     tsvd = _hankel_svd(WeightedSignal(shape, (f_obs - s0.s) / pattern.rate), rank, seed)
     sigma1 = float(tsvd.S[0])
-    if bound == "auto":
-        leverage = max(
-            np.linalg.norm(tsvd.U, axis=1).max(),
-            np.linalg.norm(tsvd.V, axis=1).max(),
-        )
-        resolved = AUTO_BOUND_SAFETY * leverage * sigma1
-        if resolved <= 0:
-            resolved = 1.0
-    else:
-        resolved = float(bound)
+    leverage = max(
+        np.linalg.norm(tsvd.U, axis=1).max(),
+        np.linalg.norm(tsvd.V, axis=1).max(),
+    )
+    bound = AUTO_BOUND_SAFETY * leverage * sigma1
+    if bound <= 0:
+        bound = 1.0
     sqrt_s = np.sqrt(tsvd.S)
-    factors = project_incoherence(tsvd.U * sqrt_s, tsvd.V * sqrt_s, resolved)
-    return InitResult(factors, sigma1, resolved)
+    factors = project_incoherence(tsvd.U * sqrt_s, tsvd.V * sqrt_s, bound)
+    return InitResult(factors, sigma1, bound)
 
 
 @dataclass
@@ -408,10 +392,7 @@ def _run(
     no_truth = ground_truth is None
     error_of = (lambda z: math.nan) if no_truth else _error_against(ground_truth, shape.n)
     start = time.perf_counter()
-    init = spectral_init(
-        f_obs, pattern, shape, config.rank, config.alpha,
-        bound=config.incoherence_bound, seed=config.seed,
-    )
+    init = spectral_init(f_obs, pattern, shape, config.rank, config.alpha, seed=config.seed)
     bound = init.incoherence_bound
     sigma1 = init.top_singular_value
     if update == "plaingd" and sigma1 <= 0:
@@ -427,8 +408,6 @@ def _run(
             return 0.0
         return float(np.linalg.norm(st.gap) / denom)
 
-    # the stop on a pressed incoherence ball trusts only an estimated radius
-    clip_stop = config.incoherence_bound == "auto"
     clipped_streak = 0
     termination = "max_iters"
     while True:
@@ -446,7 +425,7 @@ def _run(
         if state.iteration == config.max_iters:
             break
         clipped_streak = clipped_streak + 1 if state.factors.clipped_rows else 0
-        if clip_stop and clipped_streak == CLIP_STOP_ITERS:
+        if clipped_streak == CLIP_STOP_ITERS:
             termination = "clipped"
             break
         if update == "hsnld":
@@ -457,13 +436,7 @@ def _run(
                 break
         else:
             state = _plain_gd_step(state, f_obs, pattern, shape, config, sigma1)
-    return RecoveryReport(
-        records=records,
-        signal=state.z,
-        factors=state.factors,
-        termination=termination,
-        incoherence_bound=bound,
-    )
+    return RecoveryReport(records, state.z, state.factors, termination, bound)
 
 
 def _plain_gd_step(state, f_obs, pattern, shape, config, sigma1) -> IterateState:
@@ -495,18 +468,17 @@ def run_hsnld(
     ``CLIP_STOP_ITERS`` consecutive iterates (the initialization's counts as
     iterate 0) whose incoherence projection shrank a row, and
     ``"degenerate_gram"`` when the step from the last iterate cannot invert a
-    factor Gram.  ``"clipped"`` applies only to an estimated radius
-    (``incoherence_bound="auto"``): a recoverable truth sits well inside it,
-    so an iterate pressed on it is off the truth.  An explicit bound is the
-    caller's constraint and never stops a solve.  The checks run in that
-    order, so a converged iterate reports ``"residual_tol"``.  Each step
-    right-multiplies a factor's gradient by the other factor's inverse Gram,
-    scaled by ``eta``.  The inverse comes from the eigendecomposition that
-    the iterate's :class:`Factors` carries; a zero or non-finite Gram on
-    either side, or one whose eigenvalues span a ratio below 1e-12, ends the
-    solve with ``"degenerate_gram"`` and the records up to that iterate.  The
-    projection computes exact row norms only for a factor that its eigenvalue
-    screen cannot clear (see :func:`project_incoherence`).
+    factor Gram.  The radius is the initialization's estimate, and a
+    recoverable truth sits well inside it, so an iterate pressed on it is off
+    the truth.  The checks run in that order, so a converged iterate reports
+    ``"residual_tol"``.  Each step right-multiplies a factor's gradient by
+    the other factor's inverse Gram, scaled by ``eta``.  The inverse comes
+    from the eigendecomposition that the iterate's :class:`Factors` carries;
+    a zero or non-finite Gram on either side, or one whose eigenvalues span a
+    ratio below 1e-12, ends the solve with ``"degenerate_gram"`` and the
+    records up to that iterate.  The projection computes exact row norms only
+    for a factor that its eigenvalue screen cannot clear (see
+    :func:`project_incoherence`).
     """
     return _run("hsnld", f_obs, pattern, shape, config, ground_truth)
 

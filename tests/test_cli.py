@@ -1,10 +1,12 @@
 import csv
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -125,15 +127,23 @@ def test_recover_pathological_graceful(tmp_path):
     assert summary["success"] is False
 
 
-def test_recover_diverged_summary_is_strict_json(tmp_path, capsys):
+def test_recover_diverged_summary_is_strict_json(tmp_path, capsys, monkeypatch):
+    # the real report, ended as a diverging solve ends: a non-finite last record
+    solve = cli.run_hsnld
+
+    def diverging(*args, **kwargs):
+        report = solve(*args, **kwargs)
+        report.records[-1] = replace(report.records[-1], residual=math.inf, error=math.nan)
+        return replace(report, termination="diverged")
+
+    monkeypatch.setattr(cli, "run_hsnld", diverging)
     data = tmp_path / "data"
     out = tmp_path / "result"
     assert run_cli("gen", "--out", str(data), "--seed", "7", "kind=spectral",
                    "n=255", "r=5", "kappa=10", "p=0.6", "alpha=0.1") == 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run_cli("recover", "--out", str(out), "--seed", "2", f"input={data}",
-                       "bound=5.0") == 0
+        assert run_cli("recover", "--out", str(out), "--seed", "2", f"input={data}") == 0
     assert capsys.readouterr().err == ""
 
     def strict(name):
@@ -142,6 +152,34 @@ def test_recover_diverged_summary_is_strict_json(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text(), parse_constant=strict)
     assert summary["termination"] == "diverged"
     assert summary["err"] is None and summary["success"] is False
+
+
+def test_recover_bound_in_config_file_exit_2(tmp_path, capsys):
+    # the incoherence radius is always estimated, from a file as from argv
+    data = tmp_path / "gen"
+    assert run_cli("gen", "--out", str(data), "kind=spectral", "n=64", "r=2") == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input": str(data), "bound": 5.0}))
+    assert run_cli("recover", "--config", str(cfg), "--out", str(tmp_path / "r")) == 2
+    assert "unknown key 'bound' for command 'recover'" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_recover_summary_is_independent_of_key_order(tmp_path):
+    # the config is echoed in schema order, whatever order the keys came in
+    data = tmp_path / "gen"
+    assert run_cli("gen", "--out", str(data), "kind=spectral", "n=64", "r=2") == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"solver": "hsnld", "eta": 0.5}))
+    summaries = set()
+    for i, args in enumerate(([f"input={data}", "eta=0.5"], ["eta=0.5", f"input={data}"],
+                              ["--config", str(cfg), f"input={data}"])):
+        out = tmp_path / f"r{i}"
+        assert run_cli("recover", "--out", str(out), *args) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        del summary["seconds"]
+        summaries.add(json.dumps(summary))
+    assert len(summaries) == 1
 
 
 def test_recover_missing_input_exit_2(tmp_path, capsys):
@@ -352,7 +390,8 @@ def _resplit(n1):
     (["recover", "input={gen}", "r=100"], "rank 100 not in [1, 32]"),
     (["doa", "n=1"], "rank 3 not in [1, 1]"),
     (["recover", "input={gen}", "tol_residual=nan"], "tol_residual must be finite and >= 0"),
-    (["recover", "input={gen}", "bound=inf"], "incoherence_bound must be finite and positive"),
+    # the incoherence radius is always estimated
+    (["recover", "input={gen}", "bound=inf"], "unknown key 'bound' for command 'recover'"),
     (["recover", "input={gen}", {"pattern.csv": _text("index\n1\n\n2\n")}],
      "pattern.csv index must be an integer, got ''"),
     (["recover", "input={gen}", {"meta.json": _text("[2]")}], "meta.json must hold a JSON object"),
@@ -687,7 +726,7 @@ def test_usage_paths(capsys, argv, code):
 def test_solver_defaults_come_from_the_library(tmp_path, monkeypatch):
     # a fresh copy of the CLI, built while the library states other defaults,
     # must take every one of them; the DOA protocol's own settings stay
-    changed = {"eta": 0.25, "max_iters": 777, "tol_residual": 3e-6, "incoherence_bound": 2.5}
+    changed = {"eta": 0.25, "max_iters": 777, "tol_residual": 3e-6}
     for name, value in changed.items():
         monkeypatch.setattr(RecoveryConfig, name, value)
     monkeypatch.setattr(OutlierSpec, "magnitude_scale", 7.0)
@@ -702,14 +741,12 @@ def test_solver_defaults_come_from_the_library(tmp_path, monkeypatch):
     for command in ("recover", "converge", "phase"):
         assert defaults[command]["max_iters"] == 777
         assert defaults[command]["tol_residual"] == 3e-6
-    assert defaults["recover"]["bound"] == 2.5
     for command in ("converge", "phase"):
         assert defaults[command]["magnitude_scale"] == 7.0
     assert (defaults["doa"]["max_iters"], defaults["doa"]["tol_residual"]) == (216, 1e-8)
 
     config = probe._solver_config(probe._apply_schema("phase", {}), 2, 0.0, 0)
     assert (config.eta, config.max_iters, config.tol_residual) == (0.25, 777, 3e-6)
-    assert config.incoherence_bound == 2.5
     for kind, scale in (("spectral", 7.0), ("doa", defaults["doa"]["magnitude_scale"])):
         out = tmp_path / kind
         args = ["kind=spectral", "r=2"] if kind == "spectral" else ["kind=doa"]

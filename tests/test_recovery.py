@@ -85,13 +85,10 @@ def test_config_validation():
             RecoveryConfig(rank=1, alpha=alpha)
     with pytest.raises(ValueError, match=r"eta must lie in \[0, 1\], got 1.5"):
         RecoveryConfig(rank=1, alpha=0.1, eta=1.5)
-    for bound in (-1.0, 0.0, np.inf, np.nan):
-        with pytest.raises(ValueError, match="incoherence_bound"):
-            RecoveryConfig(rank=1, alpha=0.1, incoherence_bound=bound)
     for tol in (-1e-5, np.nan, np.inf):
         with pytest.raises(ValueError, match="tol_residual"):
             RecoveryConfig(rank=1, alpha=0.1, tol_residual=tol)
-    cfg = RecoveryConfig(rank=1, alpha=0.1, incoherence_bound=2.0, tol_residual=0.0)
+    cfg = RecoveryConfig(rank=1, alpha=0.1, tol_residual=0.0)
     with pytest.raises(ValueError, match="eta must lie in"):
         replace(cfg, eta=3.0)
 
@@ -130,9 +127,6 @@ def test_bad_radius_rejected_where_it_enters(rng, bound):
     R = rand_complex(rng, 15, 2)
     with pytest.raises(ValueError, match="bound must be finite and positive"):
         project_incoherence(L, R, bound)
-    sig, pattern, f_obs, _ = make_instance(64, 2, 2.0, 50, 0.1, 175)
-    with pytest.raises(ValueError, match="bound must be finite and positive"):
-        spectral_init(f_obs, pattern, sig.shape, 2, 0.1, bound=bound)
 
 
 @pytest.mark.parametrize("alpha", [-0.1, 1.5, np.nan, -np.inf])
@@ -140,16 +134,6 @@ def test_spectral_init_rejects_bad_alpha(alpha):
     sig, pattern, f_obs, _ = make_instance(64, 2, 2.0, 50, 0.1, 177)
     with pytest.raises(ValueError, match="alpha must lie in"):
         spectral_init(f_obs, pattern, sig.shape, 2, alpha)
-
-
-def test_spectral_init_radius_forms():
-    sig, pattern, f_obs, _ = make_instance(64, 2, 2.0, 50, 0.1, 179)
-    with pytest.raises(ValueError, match="'auto' or a number"):
-        spectral_init(f_obs, pattern, sig.shape, 2, 0.1, bound="automatic")
-    auto = spectral_init(f_obs, pattern, sig.shape, 2, 0.1, bound="auto")
-    fixed = spectral_init(f_obs, pattern, sig.shape, 2, 0.1, bound=auto.incoherence_bound)
-    np.testing.assert_array_equal(fixed.factors.L, auto.factors.L)
-    np.testing.assert_array_equal(fixed.factors.R, auto.factors.R)
 
 
 def test_project_incoherence_identity_within_bound(rng):
@@ -278,7 +262,7 @@ def test_hsnld_step_fixed_point_at_truth():
     n, r = 101, 3
     sig, pattern, f_obs, s_true = make_instance(n, r, 5.0, n, 0.05, 31)
     X, L, R, _ = truth_factors(sig, r)
-    config = RecoveryConfig(rank=r, alpha=0.05, incoherence_bound=1e9)
+    config = RecoveryConfig(rank=r, alpha=0.05)
     state = _state_at((L, R), f_obs, pattern, sig.shape, config)
     np.testing.assert_allclose(state.s.s, s_true.s, atol=1e-9)
     stepped = hsnld_step(state, f_obs, pattern, sig.shape, config)
@@ -290,7 +274,7 @@ def test_hsnld_step_eta_zero_refreshes_only_outliers():
     n, r = 64, 2
     sig, pattern, f_obs, _ = make_instance(n, r, 2.0, 50, 0.1, 41)
     init = spectral_init(f_obs, pattern, sig.shape, r, 0.1, seed=0)
-    config = RecoveryConfig(rank=r, alpha=0.1, eta=0.0, incoherence_bound=1e9)
+    config = RecoveryConfig(rank=r, alpha=0.1, eta=0.0)
     state = _state_at((init.factors.L, init.factors.R), f_obs, pattern, sig.shape, config)
     stepped = hsnld_step(state, f_obs, pattern, sig.shape, config)
     np.testing.assert_array_equal(stepped.factors.L, state.factors.L)
@@ -652,8 +636,7 @@ def test_run_hsnld_iterates_stay_incoherent_and_supported():
     n, r = 125, 4
     sig, pattern, f_obs, _ = make_instance(n, r, 10.0, 100, 0.1, 71)
     config = RecoveryConfig(rank=r, alpha=0.1, max_iters=25)
-    init = spectral_init(f_obs, pattern, sig.shape, r, 0.1,
-                         bound=config.incoherence_bound, seed=config.seed)
+    init = spectral_init(f_obs, pattern, sig.shape, r, 0.1, seed=config.seed)
     state = _refresh(init.factors, f_obs, pattern, sig.shape, config, 0,
                      init.incoherence_bound)
     observed = set(pattern.indices)
@@ -810,19 +793,6 @@ def test_run_hsnld_stops_on_estimated_ball_clipping():
     assert full == [report.iterations]
 
 
-def test_explicit_bound_never_stops_on_clipping():
-    # the caller's radius is a constraint, not an estimate around the truth
-    sig, pattern, f_obs, config = _clipping_instance()
-    auto = run_hsnld(f_obs, pattern, sig.shape, config, ground_truth=sig.z)
-    fixed = run_hsnld(f_obs, pattern, sig.shape,
-                      replace(config, incoherence_bound=auto.incoherence_bound),
-                      ground_truth=sig.z)
-    np.testing.assert_array_equal([rec.residual for rec in fixed.records[:len(auto.records)]],
-                                  [rec.residual for rec in auto.records])
-    assert fixed.termination == "max_iters"
-    assert fixed.factors.clipped_rows > 0
-
-
 def test_run_plain_gd_matches_on_well_conditioned():
     n, r = 255, 3
     sig, pattern, f_obs, _ = make_instance(n, r, 1.0, n, 0.0, 101)
@@ -896,8 +866,7 @@ def test_approx_dist_upper_bounds_product_error():
     sig, pattern, f_obs, _ = make_instance(n, r, 10.0, n, 0.05, 131)
     X, L_star, R_star, sigma = truth_factors(sig, r)
     config = RecoveryConfig(rank=r, alpha=0.05, max_iters=40)
-    init = spectral_init(f_obs, pattern, sig.shape, r, 0.05,
-                         bound=config.incoherence_bound, seed=config.seed)
+    init = spectral_init(f_obs, pattern, sig.shape, r, 0.05, seed=config.seed)
     state = _refresh(init.factors, f_obs, pattern, sig.shape, config, 0,
                      init.incoherence_bound)
     checked = 0
