@@ -8,6 +8,8 @@ iteration alike), then take a gradient step on each factor right-multiplied
 by the inverse Gram matrix of the other factor (a Newton-like preconditioner
 that makes progress per iteration independent of the conditioning of the
 ground truth), and finally project rows back into the weak-incoherence ball.
+An HSNLD solve steps at min(1, 1.4 eta) while each step halves the observed
+residual; the first that does not is redone at eta, the step from then on.
 
 A plain scaled-gradient baseline (same gradients, no Gram preconditioning,
 step size divided by the top singular value from initialization) is provided
@@ -66,11 +68,16 @@ AUTO_BOUND_SAFETY = 1.5
 # A solve stops ("clipped") after this many consecutive iterates whose
 # projection shrank a row.  A recoverable truth sits well inside the estimated
 # ball: on the n=125, r=10 phase grid (480 trials at each of seeds
-# 99173-99176) no success ever clipped, while a third of the failures pressed
-# on the ball for hundreds of iterations.  10 stopped 38, 36, 35 and 42
-# failures, lost no success and saved 16-18% of grid iterations; 50 saved
-# 9-11% at the first two seeds.
+# 99173-99176, bold phase on) no success ever clipped, while 38-45 of about
+# 138 failures did.  10 stopped 36, 35, 36 and 43 failures, lost no success
+# and saved 15-19% of grid iterations against no stop; 50 saved 9-11%.
 CLIP_STOP_ITERS = 10
+
+# run_hsnld's bold phase.  Against fixed eta = 0.5: solve_16k mean iterations
+# 11.5 -> 8.5; c07's cells (seeds 99173, 31337) and doa's 37/40 (seeds 0-39)
+# kept.  Fixed 0.7 lost 51 c07 successes; keeping any decrease, a doa seed.
+BOLD_STEP_SCALE = 1.4
+BOLD_KEEP_RATIO = 0.5
 
 
 @dataclass
@@ -112,7 +119,7 @@ class RecoveryConfig:
 
     rank: int
     alpha: float
-    eta: float = 0.5
+    eta: float = 0.5  # the step an HSNLD solve settles at (see run_hsnld)
     max_iters: int = 1000
     tol_residual: float = 1e-5
     seed: int = 0
@@ -145,6 +152,7 @@ class RecoveryReport:
     factors: Factors
     termination: str
     incoherence_bound: float
+    settled_at: int | None  # the first iterate stepped at config.eta, or None
 
     @property
     def iterations(self) -> int:
@@ -305,8 +313,8 @@ class IterateState:
     iteration: int
     bound: float
     # (2r, N) spectrum of the rows of L^T over R^H, which the step only reads.
-    # It is the previous step's product block, or a new one for iterate 0, and
-    # is freed with the iterate once the next step has returned.
+    # It is a spent block of the step (its products', or a bold candidate's
+    # input iterate's), or new at iterate 0, and is freed with the iterate.
     spectra: np.ndarray
 
 
@@ -315,8 +323,8 @@ def _refresh(
 ) -> IterateState:
     """Estimates for a factor pair; outliers are ranked by raw magnitude, as in init.
 
-    The factor spectra are written into ``block``, a spent (2r, N) product
-    block of the step, when one is given, else into a new block."""
+    The factor spectra are written into ``block``, a spent (2r, N) block of the
+    step, when one is given, else into a new block."""
     z, spectra = _lowrank_spectra(factors.L, factors.R, shape, block)
     k = keep_count(_default_gamma(iteration), config.alpha, pattern.m, shape.n)
     s = _sparsify(f_obs - project_obs(z.z, pattern), k, shape)
@@ -326,6 +334,33 @@ def _refresh(
 
 def _descent_direction(state: IterateState, pattern) -> WeightedSignal:
     return WeightedSignal(state.z.shape, state.gap / pattern.rate - state.z.z)
+
+
+def _stepper(state: IterateState, f_obs, pattern, shape, config):
+    """``step(eta, into)``: the step from ``state`` at ``eta``, from products formed once,
+    refreshed into block ``into``, else (the last step) into theirs.  Raises
+    :class:`DegenerateGramError` on a zero, non-finite or singular Gram."""
+    current = state.factors
+    grad_l, grad_r, block = _factor_products(_descent_direction(state, pattern), state.spectra)
+    if current.eig is None:
+        raise DegenerateGramError("degenerate factor Gram matrix (zero or non-finite input)")
+    inv_gram_l, inv_gram_r = _inverse_from_eigh(*current.eig)
+    def step(eta: float, into: np.ndarray | None = None) -> IterateState:
+        nonlocal grad_l, grad_r
+        # (1 - eta) L - grad_l (eta inv_gram_r): eta scales the r x r inverse, not
+        # the n x r gradient, and the bytes are those of (eta grad_l) inv_gram_r
+        # whenever eta is a power of two, the default 0.5 included
+        new_l = (1.0 - eta) * current.L
+        new_l -= grad_l @ (eta * inv_gram_r)
+        new_r = (1.0 - eta) * current.R
+        new_r -= grad_r @ (eta * inv_gram_l)
+        factors = project_incoherence(new_l, new_r, state.bound)
+        if into is None:  # the products are read: free grad_l, a conjugated copy
+            grad_l, grad_r, into = None, None, block
+        return _refresh(factors, f_obs, pattern, shape, config, state.iteration + 1,
+                        state.bound, into)
+
+    return step
 
 
 def hsnld_step(
@@ -339,25 +374,7 @@ def hsnld_step(
 
     Raises :class:`DegenerateGramError` on a zero, non-finite or singular Gram.
     """
-    current = state.factors
-    eta = config.eta
-    grad_l, grad_r, block = _factor_products(_descent_direction(state, pattern), state.spectra)
-    if current.eig is None:
-        raise DegenerateGramError("degenerate factor Gram matrix (zero or non-finite input)")
-    inv_gram_l, inv_gram_r = _inverse_from_eigh(*current.eig)
-    # (1 - eta) L - grad_l (eta inv_gram_r): eta scales the r x r inverse, not
-    # the n x r gradient, and the bytes are those of (eta grad_l) inv_gram_r
-    # whenever eta is a power of two, the default 0.5 included
-    new_l = (1.0 - eta) * current.L
-    new_l -= grad_l @ (eta * inv_gram_r)
-    new_r = (1.0 - eta) * current.R
-    new_r -= grad_r @ (eta * inv_gram_l)
-    factors = project_incoherence(new_l, new_r, state.bound)
-    # both products have been read (grad_r is a view of their block), so the
-    # block takes the new spectra
-    del grad_l, grad_r
-    return _refresh(factors, f_obs, pattern, shape, config, state.iteration + 1, state.bound,
-                    block)
+    return _stepper(state, f_obs, pattern, shape, config)(config.eta)
 
 
 def _error_against(z_true, n: int):
@@ -410,6 +427,7 @@ def _run(
 
     clipped_streak = 0
     termination = "max_iters"
+    settled_at = None if update == "hsnld" and 0 < config.eta < 1 else 0
     while True:
         # a diverging iterate's norms overflow; the non-finite stop below reports it
         with np.errstate(over="ignore"):
@@ -430,13 +448,20 @@ def _run(
             break
         if update == "hsnld":
             try:
-                state = hsnld_step(state, f_obs, pattern, shape, config)
+                step = _stepper(state, f_obs, pattern, shape, config)
             except DegenerateGramError:
                 termination = "degenerate_gram"
                 break
+            if settled_at is None:  # the products are formed: reuse the iterate's block
+                candidate = step(min(1.0, BOLD_STEP_SCALE * config.eta), state.spectra)
+                with np.errstate(over="ignore"):
+                    if not residual_of(candidate) <= BOLD_KEEP_RATIO * res:
+                        candidate, settled_at = None, state.iteration
+            state = candidate if settled_at is None else step(config.eta)
+            del step  # and with it the product block
         else:
             state = _plain_gd_step(state, f_obs, pattern, shape, config, sigma1)
-    return RecoveryReport(records, state.z, state.factors, termination, bound)
+    return RecoveryReport(records, state.z, state.factors, termination, bound, settled_at)
 
 
 def _plain_gd_step(state, f_obs, pattern, shape, config, sigma1) -> IterateState:
@@ -471,14 +496,17 @@ def run_hsnld(
     factor Gram.  The radius is the initialization's estimate, and a
     recoverable truth sits well inside it, so an iterate pressed on it is off
     the truth.  The checks run in that order, so a converged iterate reports
-    ``"residual_tol"``.  Each step right-multiplies a factor's gradient by
-    the other factor's inverse Gram, scaled by ``eta``.  The inverse comes
-    from the eigendecomposition that the iterate's :class:`Factors` carries;
-    a zero or non-finite Gram on either side, or one whose eigenvalues span a
-    ratio below 1e-12, ends the solve with ``"degenerate_gram"`` and the
-    records up to that iterate.  The projection computes exact row norms only
-    for a factor that its eigenvalue screen cannot clear (see
-    :func:`project_incoherence`).
+    ``"residual_tol"``.  Each step right-multiplies a factor's gradient by the
+    other factor's inverse Gram, scaled by min(1, ``BOLD_STEP_SCALE`` eta) while
+    each step cuts the observed residual to ``BOLD_KEEP_RATIO`` of it or less,
+    then by ``eta`` from the first that does not, redone once from the same
+    products in its iteration's time (``report.settled_at`` is its iterate, 0
+    at eta 0 or 1).  The inverse comes from the eigendecomposition that the
+    iterate's :class:`Factors` carries; a zero or non-finite Gram on either
+    side, or one whose eigenvalues span a ratio below 1e-12, ends the solve
+    with ``"degenerate_gram"`` and the records up to that iterate.  The
+    projection computes exact row norms only for a factor that its eigenvalue
+    screen cannot clear (see :func:`project_incoherence`).
     """
     return _run("hsnld", f_obs, pattern, shape, config, ground_truth)
 

@@ -779,6 +779,8 @@ def test_run_hsnld_stops_on_estimated_ball_clipping():
     report = run_hsnld(f_obs, pattern, sig.shape, config, ground_truth=sig.z)
     assert report.termination == "clipped"
     assert report.iterations < config.max_iters // 10
+    # the first bold step is redone, so the solve is the fixed-eta loop below
+    assert report.settled_at == 0
     # the stop is at the first run of CLIP_STOP_ITERS clipped iterates, the
     # initialization's projection counting as iterate 0
     init = spectral_init(f_obs, pattern, sig.shape, 10, 0.0, seed=config.seed)
@@ -810,6 +812,87 @@ def test_run_plain_gd_eta_zero_makes_no_progress():
     report = run_plain_gd(f_obs, pattern, sig.shape, config, ground_truth=sig.z)
     errs = np.array([rec.error for rec in report.records])
     np.testing.assert_allclose(errs, errs[0], rtol=1e-12)
+
+
+def _stepped_loop(f_obs, pattern, shape, config, step, bold=None):
+    """A solve run by hand for ``config.max_iters`` steps of ``step(state, config)``.
+
+    With ``bold``, each step is first taken at that eta and kept while it
+    halves the observed residual; the first that fails is redone at
+    ``config.eta``, which every later step keeps.  Returns each iterate's
+    residual, the last iterate and the iterate whose step was the first at
+    ``config.eta``.
+    """
+    init = spectral_init(f_obs, pattern, shape, config.rank, config.alpha, seed=config.seed)
+    state = _refresh(init.factors, f_obs, pattern, shape, config, 0, init.incoherence_bound)
+    denom = np.linalg.norm(f_obs)
+
+    def residual(st):
+        return float(np.linalg.norm(st.gap) / denom)
+
+    residuals, settled_at = [residual(state)], None if bold else 0
+    while len(residuals) <= config.max_iters:
+        if settled_at is None:
+            candidate = step(state, replace(config, eta=bold))
+            if residual(candidate) <= 0.5 * residual(state):
+                state = candidate
+                residuals.append(residual(state))
+                continue
+            settled_at = state.iteration
+        state = step(state, config)
+        residuals.append(residual(state))
+    return residuals, state, settled_at
+
+
+def _assert_report_is(report, residuals, state):
+    assert [rec.residual for rec in report.records] == residuals
+    assert report.signal.z.tobytes() == state.z.z.tobytes()
+    assert report.factors.L.tobytes() == state.factors.L.tobytes()
+    assert report.factors.R.tobytes() == state.factors.R.tobytes()
+
+
+@pytest.mark.parametrize("r, kappa, m, alpha, seed, settled_at", [
+    (3, 100.0, 200, 0.1, 1, 2),  # two bold steps kept, the third redone
+    (5, 20.0, 255, 0.05, 2, 0),  # the first bold step redone
+])
+def test_run_hsnld_is_a_bold_phase_then_fixed_steps(r, kappa, m, alpha, seed, settled_at):
+    # each step is first taken at min(1, 1.4 eta) and kept while it halves the
+    # observed residual; the first that fails is redone at eta from the same
+    # products, and the solve stays at eta
+    sig, pattern, f_obs, _ = make_instance(255, r, kappa, m, alpha, seed)
+    config = RecoveryConfig(rank=r, alpha=alpha, max_iters=8, tol_residual=0.0)
+    report = run_hsnld(f_obs, pattern, sig.shape, config)
+    assert report.iterations == config.max_iters
+    assert report.settled_at == settled_at
+
+    def step(st, cfg):
+        return hsnld_step(st, f_obs, pattern, sig.shape, cfg)
+
+    residuals, state, settled = _stepped_loop(f_obs, pattern, sig.shape, config, step, 0.7)
+    assert settled == settled_at
+    _assert_report_is(report, residuals, state)
+    if settled_at == 0:  # then the solve is the fixed-eta loop, byte for byte
+        residuals, state, _ = _stepped_loop(f_obs, pattern, sig.shape, config, step)
+        _assert_report_is(report, residuals, state)
+
+
+def test_eta_zero_and_plain_gd_take_no_bold_step():
+    # eta = 0 leaves the init's factors where they are, and the plain baseline
+    # is its own step loop; both run at eta from iterate 0
+    sig, pattern, f_obs, _ = make_instance(255, 3, 100.0, 200, 0.1, 1)
+    config = RecoveryConfig(rank=3, alpha=0.1, max_iters=8, tol_residual=0.0)
+    init = spectral_init(f_obs, pattern, sig.shape, 3, 0.1, seed=config.seed)
+    still = run_hsnld(f_obs, pattern, sig.shape, replace(config, eta=0.0))
+    assert still.iterations == config.max_iters and still.settled_at == 0
+    assert still.factors.L.tobytes() == init.factors.L.tobytes()
+    assert still.factors.R.tobytes() == init.factors.R.tobytes()
+
+    def step(st, cfg):
+        return _plain_gd_step(st, f_obs, pattern, sig.shape, cfg, init.top_singular_value)
+
+    report = run_plain_gd(f_obs, pattern, sig.shape, config)
+    assert report.settled_at == 0
+    _assert_report_is(report, *_stepped_loop(f_obs, pattern, sig.shape, config, step)[:2])
 
 
 def test_error_against_basics(rng):
