@@ -29,7 +29,7 @@ A step holds two (2r, N) blocks: the iterate's factor spectra, which it only
 reads, and its product block, which the refresh then fills with the next
 iterate's factor spectra (a bold step fills the iterate's own, so the products
 survive for a redo).  A traced solve at n=4095, r=5 (width 15) peaks at
-3.8-4.0 (2r, N) blocks, 4.07 in a bold phase (5.07 with new blocks).  New
+3.8-4.0 (2r, N) blocks, 4.07 with bold steps (5.07 with new blocks).  New
 spectra per step keep the first peak; the reuse is kept for per-step time
 (7.9% in one paired solve_16k measurement, within noise in another).
 

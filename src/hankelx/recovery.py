@@ -8,8 +8,8 @@ iteration alike), then take a gradient step on each factor right-multiplied
 by the inverse Gram matrix of the other factor (a Newton-like preconditioner
 that makes progress per iteration independent of the conditioning of the
 ground truth), and finally project rows back into the weak-incoherence ball.
-An HSNLD solve steps at min(1, 1.4 eta) while each step halves the observed
-residual; the first that does not is redone at eta, the step from then on.
+An HSNLD step is first tried at min(1, 1.4 eta) and kept if it halves the observed
+residual, else redone at eta and tried again after a wait that doubles each time.
 
 A plain scaled-gradient baseline (same gradients, no Gram preconditioning,
 step size divided by the top singular value from initialization) is provided
@@ -68,14 +68,14 @@ AUTO_BOUND_SAFETY = 1.5
 # A solve stops ("clipped") after this many consecutive iterates whose
 # projection shrank a row.  A recoverable truth sits well inside the estimated
 # ball: on the n=125, r=10 phase grid (480 trials at each of seeds
-# 99173-99176, bold phase on) no success ever clipped, while 38-45 of about
-# 138 failures did.  10 stopped 36, 35, 36 and 43 failures, lost no success
+# 99173-99176, bold steps backed off) no success ever clipped, while 38-45 of
+# about 138 failures did.  10 stopped 36, 35, 36 and 43 failures, lost no success
 # and saved 15-19% of grid iterations against no stop; 50 saved 9-11%.
 CLIP_STOP_ITERS = 10
 
-# run_hsnld's bold phase.  Against fixed eta = 0.5: solve_16k mean iterations
-# 11.5 -> 8.5; c07's cells (seeds 99173, 31337) and doa's 37/40 (seeds 0-39)
-# kept.  Fixed 0.7 lost 51 c07 successes; keeping any decrease, a doa seed.
+# run_hsnld's bold step.  Against fixed eta = 0.5, solve_16k mean iterations
+# 11.5 -> 8.2 (8.6 if one rejection fixes eta; bench seeds 21-22); c07's cells
+# and doa's 37/40 kept.  Fixed 0.7 lost 51 c07 successes; keeping any decrease, a doa seed.
 BOLD_STEP_SCALE = 1.4
 BOLD_KEEP_RATIO = 0.5
 
@@ -119,7 +119,7 @@ class RecoveryConfig:
 
     rank: int
     alpha: float
-    eta: float = 0.5  # the step an HSNLD solve settles at (see run_hsnld)
+    eta: float = 0.5  # the step a rejected bold step is redone at (see run_hsnld)
     max_iters: int = 1000
     tol_residual: float = 1e-5
     seed: int = 0
@@ -152,7 +152,7 @@ class RecoveryReport:
     factors: Factors
     termination: str
     incoherence_bound: float
-    settled_at: int | None  # the first iterate stepped at config.eta, or None
+    redone_at: tuple[int, ...]  # iterates whose bold step was rejected and redone at eta
 
     @property
     def iterations(self) -> int:
@@ -427,7 +427,8 @@ def _run(
 
     clipped_streak = 0
     termination = "max_iters"
-    settled_at = None if update == "hsnld" and 0 < config.eta < 1 else 0
+    bold = update == "hsnld" and 0 < config.eta < 1
+    bold_at, wait, redone_at = 0, 1, []  # the next bold attempt's iterate
     while True:
         # a diverging iterate's norms overflow; the non-finite stop below reports it
         with np.errstate(over="ignore"):
@@ -452,16 +453,18 @@ def _run(
             except DegenerateGramError:
                 termination = "degenerate_gram"
                 break
-            if settled_at is None:  # the products are formed: reuse the iterate's block
+            candidate = None
+            if bold and state.iteration >= bold_at:  # reuse the iterate's block
                 candidate = step(min(1.0, BOLD_STEP_SCALE * config.eta), state.spectra)
                 with np.errstate(over="ignore"):
                     if not residual_of(candidate) <= BOLD_KEEP_RATIO * res:
-                        candidate, settled_at = None, state.iteration
-            state = candidate if settled_at is None else step(config.eta)
+                        candidate, bold_at, wait = None, state.iteration + wait, 2 * wait
+                        redone_at.append(state.iteration)
+            state = step(config.eta) if candidate is None else candidate
             del step  # and with it the product block
         else:
             state = _plain_gd_step(state, f_obs, pattern, shape, config, sigma1)
-    return RecoveryReport(records, state.z, state.factors, termination, bound, settled_at)
+    return RecoveryReport(records, state.z, state.factors, termination, bound, tuple(redone_at))
 
 
 def _plain_gd_step(state, f_obs, pattern, shape, config, sigma1) -> IterateState:
@@ -497,11 +500,12 @@ def run_hsnld(
     recoverable truth sits well inside it, so an iterate pressed on it is off
     the truth.  The checks run in that order, so a converged iterate reports
     ``"residual_tol"``.  Each step right-multiplies a factor's gradient by the
-    other factor's inverse Gram, scaled by min(1, ``BOLD_STEP_SCALE`` eta) while
-    each step cuts the observed residual to ``BOLD_KEEP_RATIO`` of it or less,
-    then by ``eta`` from the first that does not, redone once from the same
-    products in its iteration's time (``report.settled_at`` is its iterate, 0
-    at eta 0 or 1).  The inverse comes from the eigendecomposition that the
+    other factor's inverse Gram, scaled by min(1, ``BOLD_STEP_SCALE`` eta) and
+    kept if it cuts the observed residual to ``BOLD_KEEP_RATIO`` of it or less,
+    else redone at ``eta`` from the same products in its iteration's time and
+    tried again 1, 2, 4, ... iterates later, a wait doubled by each rejection
+    (``report.redone_at``: at most floor(log2 max_iters) + 1 iterates, none at
+    eta 0 or 1).  The inverse comes from the eigendecomposition that the
     iterate's :class:`Factors` carries; a zero or non-finite Gram on either
     side, or one whose eigenvalues span a ratio below 1e-12, ends the solve
     with ``"degenerate_gram"`` and the records up to that iterate.  The

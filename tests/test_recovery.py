@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 
@@ -568,12 +569,14 @@ def test_lowrank_spectra_allocation_budget():
 def test_spectral_init_allocation_budget():
     # the Gaussian block is dropped once its product exists, each product
     # (a view pinning its (width, N) spectrum block) right after its QR, and
-    # each basis once its product exists: no more than two blocks at a time
-    n, r = 4095, 5
-    sig, pattern, f_obs, _ = make_instance(n, r, 20.0, n // 2, 0.1, 199)
-    block = (r + max(10, 2 * r)) * 4096 * np.dtype(np.complex128).itemsize
-    peak = traced_peak(lambda: spectral_init(f_obs, pattern, sig.shape, r, 0.1))
-    assert peak <= 2.5 * block, f"peak {peak / block:.2f} blocks"
+    # each basis once its product exists: no more than two blocks at a time.
+    # At n=16383 the QR runs by row blocks, each written into one output.
+    r = 5
+    for n in (4095, 16383):
+        sig, pattern, f_obs, _ = make_instance(n, r, 20.0, n // 2, 0.1, 199)
+        block = (r + max(10, 2 * r)) * (n + 1) * np.dtype(np.complex128).itemsize
+        peak = traced_peak(lambda: spectral_init(f_obs, pattern, sig.shape, r, 0.1))
+        assert peak <= 2.5 * block, f"n={n}: peak {peak / block:.2f} blocks"
 
 
 @pytest.mark.parametrize("solve", [run_hsnld, run_plain_gd])
@@ -779,8 +782,8 @@ def test_run_hsnld_stops_on_estimated_ball_clipping():
     report = run_hsnld(f_obs, pattern, sig.shape, config, ground_truth=sig.z)
     assert report.termination == "clipped"
     assert report.iterations < config.max_iters // 10
-    # the first bold step is redone, so the solve is the fixed-eta loop below
-    assert report.settled_at == 0
+    # every bold attempt is redone, so the solve is the fixed-eta loop below
+    assert report.redone_at == (0, 1, 3, 7, 15)
     # the stop is at the first run of CLIP_STOP_ITERS clipped iterates, the
     # initialization's projection counting as iterate 0
     init = spectral_init(f_obs, pattern, sig.shape, 10, 0.0, seed=config.seed)
@@ -817,11 +820,12 @@ def test_run_plain_gd_eta_zero_makes_no_progress():
 def _stepped_loop(f_obs, pattern, shape, config, step, bold=None):
     """A solve run by hand for ``config.max_iters`` steps of ``step(state, config)``.
 
-    With ``bold``, each step is first taken at that eta and kept while it
-    halves the observed residual; the first that fails is redone at
-    ``config.eta``, which every later step keeps.  Returns each iterate's
-    residual, the last iterate and the iterate whose step was the first at
-    ``config.eta``.
+    With ``bold``, a step is first taken at that eta at iterate 0, at every
+    iterate after a kept attempt, and 1, 2, 4, ... iterates after the first,
+    second, third, ... rejected one.  An attempt is kept if it halves the
+    observed residual, else the step is redone at ``config.eta``.  Returns
+    each iterate's residual, the last iterate, and the iterates whose bold
+    attempt was redone and those whose was kept.
     """
     init = spectral_init(f_obs, pattern, shape, config.rank, config.alpha, seed=config.seed)
     state = _refresh(init.factors, f_obs, pattern, shape, config, 0, init.incoherence_bound)
@@ -830,18 +834,22 @@ def _stepped_loop(f_obs, pattern, shape, config, step, bold=None):
     def residual(st):
         return float(np.linalg.norm(st.gap) / denom)
 
-    residuals, settled_at = [residual(state)], None if bold else 0
+    residuals, redone, kept = [residual(state)], [], []
+    try_at = 0 if bold else float("inf")
     while len(residuals) <= config.max_iters:
-        if settled_at is None:
+        k = state.iteration
+        if k >= try_at:
             candidate = step(state, replace(config, eta=bold))
             if residual(candidate) <= 0.5 * residual(state):
+                kept.append(k)
                 state = candidate
                 residuals.append(residual(state))
                 continue
-            settled_at = state.iteration
+            redone.append(k)
+            try_at = k + 2 ** (len(redone) - 1)
         state = step(state, config)
         residuals.append(residual(state))
-    return residuals, state, settled_at
+    return residuals, state, tuple(redone), tuple(kept)
 
 
 def _assert_report_is(report, residuals, state):
@@ -851,29 +859,39 @@ def _assert_report_is(report, residuals, state):
     assert report.factors.R.tobytes() == state.factors.R.tobytes()
 
 
-@pytest.mark.parametrize("r, kappa, m, alpha, seed, settled_at", [
-    (3, 100.0, 200, 0.1, 1, 2),  # two bold steps kept, the third redone
-    (5, 20.0, 255, 0.05, 2, 0),  # the first bold step redone
+@pytest.mark.parametrize("n, r, kappa, m, alpha, seed, max_iters, redone_at, kept", [
+    # kappa = 2000: kept at 0 and 1, redone at 2 and 3, kept again at 5 and 6
+    # after the doubled wait, redone at 7 and, 4 iterates on, at 11
+    pytest.param(255, 3, 2000.0, 200, 0.1, 22, 12, (2, 3, 7, 11), (0, 1, 5, 6),
+                 id="kappa2000-kept-again"),
+    # an n=125, r=10 phase-grid boundary cell (m=68, alpha=0.2): every
+    # attempt is redone, so the waits 1, 2, 4, 8 all pass
+    pytest.param(125, 10, 10.0, 68, 0.2, 1, 20, (0, 1, 3, 7, 15), (),
+                 id="n125-boundary-cell"),
 ])
-def test_run_hsnld_is_a_bold_phase_then_fixed_steps(r, kappa, m, alpha, seed, settled_at):
-    # each step is first taken at min(1, 1.4 eta) and kept while it halves the
-    # observed residual; the first that fails is redone at eta from the same
-    # products, and the solve stays at eta
-    sig, pattern, f_obs, _ = make_instance(255, r, kappa, m, alpha, seed)
-    config = RecoveryConfig(rank=r, alpha=alpha, max_iters=8, tol_residual=0.0)
+def test_run_hsnld_retries_the_bold_step_with_exponential_back_off(
+    n, r, kappa, m, alpha, seed, max_iters, redone_at, kept
+):
+    # a bold step at min(1, 1.4 eta) is kept if it halves the observed
+    # residual, else redone at eta from the same products; the next attempt
+    # comes 1, 2, 4, ... iterates after each rejection, a wait that never resets
+    sig, pattern, f_obs, _ = make_instance(n, r, kappa, m, alpha, seed)
+    config = RecoveryConfig(rank=r, alpha=alpha, max_iters=max_iters, tol_residual=0.0)
     report = run_hsnld(f_obs, pattern, sig.shape, config)
     assert report.iterations == config.max_iters
-    assert report.settled_at == settled_at
+    assert report.redone_at == redone_at
+    assert len(report.redone_at) <= math.floor(math.log2(config.max_iters)) + 1
 
     def step(st, cfg):
         return hsnld_step(st, f_obs, pattern, sig.shape, cfg)
 
-    residuals, state, settled = _stepped_loop(f_obs, pattern, sig.shape, config, step, 0.7)
-    assert settled == settled_at
+    bold = min(1.0, 1.4 * config.eta)
+    residuals, state, redone, kept_by_hand = _stepped_loop(
+        f_obs, pattern, sig.shape, config, step, bold)
+    assert (redone, kept_by_hand) == (redone_at, kept)
     _assert_report_is(report, residuals, state)
-    if settled_at == 0:  # then the solve is the fixed-eta loop, byte for byte
-        residuals, state, _ = _stepped_loop(f_obs, pattern, sig.shape, config, step)
-        _assert_report_is(report, residuals, state)
+    if not kept:  # every attempt redone: the solve is the fixed-eta loop, byte for byte
+        _assert_report_is(report, *_stepped_loop(f_obs, pattern, sig.shape, config, step)[:2])
 
 
 def test_eta_zero_and_plain_gd_take_no_bold_step():
@@ -883,7 +901,7 @@ def test_eta_zero_and_plain_gd_take_no_bold_step():
     config = RecoveryConfig(rank=3, alpha=0.1, max_iters=8, tol_residual=0.0)
     init = spectral_init(f_obs, pattern, sig.shape, 3, 0.1, seed=config.seed)
     still = run_hsnld(f_obs, pattern, sig.shape, replace(config, eta=0.0))
-    assert still.iterations == config.max_iters and still.settled_at == 0
+    assert still.iterations == config.max_iters and still.redone_at == ()
     assert still.factors.L.tobytes() == init.factors.L.tobytes()
     assert still.factors.R.tobytes() == init.factors.R.tobytes()
 
@@ -891,7 +909,7 @@ def test_eta_zero_and_plain_gd_take_no_bold_step():
         return _plain_gd_step(st, f_obs, pattern, sig.shape, cfg, init.top_singular_value)
 
     report = run_plain_gd(f_obs, pattern, sig.shape, config)
-    assert report.settled_at == 0
+    assert report.redone_at == ()
     _assert_report_is(report, *_stepped_loop(f_obs, pattern, sig.shape, config, step)[:2])
 
 
