@@ -88,10 +88,10 @@ def truncated_svd(
     (n1, k) -> (n2, k).  Subspace iteration starts from a complex Gaussian
     block of width rank + max(10, 2*rank), clamped to min(n1, n2) (so no
     oversampling at rank = min(n1, n2)), re-orthonormalizes with a thin QR
-    after every half-step (by row blocks if tall: :func:`_orthonormal_basis`), and
-    finishes with an eigendecomposition of the small projected Gram matrix.
-    Singular values at roundoff level relative to the largest are set to 0,
-    and their V columns left zero.  Fully determined by ``seed``.
+    after every half-step, and finishes with an eigendecomposition of the
+    small projected Gram matrix.  Singular values at roundoff level relative
+    to the largest are set to 0, and their V columns left zero.  Fully
+    determined by ``seed``.
 
     One power pass by default: when the spectrum has a gap at ``rank``, as a
     rank-r signal plus sampling noise does, one pass finds the leading subspace
@@ -100,9 +100,10 @@ def truncated_svd(
 
     Memory: a product from ``matvec``/``rmatvec`` may be a view that pins a
     larger block (the FFT products' (width, N) spectrum block).  Each product
-    is dropped once its QR (whose row blocks fill one output) has read it, and
-    each basis, the Gaussian block first, once its product exists, so one such
-    block and one basis are alive.  The last product, W, is kept for U and V.
+    is dropped as soon as its QR has read it, and each basis, the Gaussian
+    block first, as soon as its product exists, so at most one such block and
+    one basis are alive, besides the QR's own copy.  The last product, W, is
+    kept until U and V are formed.
     """
     _check_rank(rank, n1, n2)
     width = min(rank + max(10, 2 * rank), min(n1, n2))
@@ -116,7 +117,7 @@ def truncated_svd(
     for product in (matvec,) + (rmatvec, matvec) * power_iters:
         Y = product(Q)
         del Q
-        Q = _orthonormal_basis(Y)
+        Q, _ = np.linalg.qr(Y)
         del Y
 
     W = rmatvec(Q)  # (n2, width); the projected matrix is W^H
@@ -135,28 +136,6 @@ def truncated_svd(
         else:
             S[j] = 0.0
     return TruncatedSVD(U=U, S=S, V=V)
-
-
-# Rows per block of _orthonormal_basis, which takes one QR below 4 blocks.  An init's
-# three QRs, median ms, one QR -> blocks (2-vCPU Xeon): 8.5 -> 9.4 at 4096 rows, 10.6 ->
-# 12.0 at 6144, 14.7 -> 13.5 at 8192 (1024-row blocks: no gain) and 60 -> 41 at 32768.
-QR_BLOCK_ROWS = 2048
-
-
-def _orthonormal_basis(Y: np.ndarray) -> np.ndarray:
-    """Q of a thin QR of Y; from 4 row blocks on, by TSQR (blocks, then their stacked R)."""
-    rows, width = Y.shape
-    blocks = rows // max(QR_BLOCK_ROWS, width)
-    if blocks < 4:
-        return np.linalg.qr(Y)[0]
-    Q = np.empty((rows, width), dtype=np.result_type(Y.dtype, 1.0))
-    parts = np.array_split(Q, blocks)  # views of Q; each block's Q goes straight in
-    tops = np.empty((blocks, width, width), dtype=Q.dtype)
-    for part, top, y in zip(parts, tops, np.array_split(Y, blocks)):
-        part[...], top[...] = np.linalg.qr(y)
-    for part, mix in zip(parts, np.linalg.qr(tops.reshape(-1, width))[0].reshape(tops.shape)):
-        part[...] = part @ mix
-    return Q
 
 
 def _hankel_svd(sig: WeightedSignal, rank: int, seed: int) -> TruncatedSVD:

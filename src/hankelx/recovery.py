@@ -9,7 +9,8 @@ by the inverse Gram matrix of the other factor (a Newton-like preconditioner
 that makes progress per iteration independent of the conditioning of the
 ground truth), and finally project rows back into the weak-incoherence ball.
 An HSNLD step is first tried at min(1, 1.4 eta) and kept if it halves the observed
-residual, else redone at eta and tried again after a wait that doubles each time.
+residual, else redone at eta and tried again after a wait that doubles each time,
+unless the solve's first attempt failed.
 
 A plain scaled-gradient baseline (same gradients, no Gram preconditioning,
 step size divided by the top singular value from initialization) is provided
@@ -458,7 +459,11 @@ def _run(
                 candidate = step(min(1.0, BOLD_STEP_SCALE * config.eta), state.spectra)
                 with np.errstate(over="ignore"):
                     if not residual_of(candidate) <= BOLD_KEEP_RATIO * res:
-                        candidate, bold_at, wait = None, state.iteration + wait, 2 * wait
+                        # none after a rejection at iterate 0 (every doa seed, c08): retries
+                        # there gave c08's timed iterates a second refresh and kept some
+                        # failing phase-grid trials from their clipped stop
+                        bold_at = state.iteration + wait if state.iteration else math.inf
+                        candidate, wait = None, 2 * wait
                         redone_at.append(state.iteration)
             state = step(config.eta) if candidate is None else candidate
             del step  # and with it the product block
@@ -505,7 +510,8 @@ def run_hsnld(
     else redone at ``eta`` from the same products in its iteration's time and
     tried again 1, 2, 4, ... iterates later, a wait doubled by each rejection
     (``report.redone_at``: at most floor(log2 max_iters) + 1 iterates, none at
-    eta 0 or 1).  The inverse comes from the eigendecomposition that the
+    eta 0 or 1).  A rejection at iterate 0 ends the attempts, so such a solve
+    has the bytes of a fixed-``eta`` one.  The inverse comes from the eigendecomposition that the
     iterate's :class:`Factors` carries; a zero or non-finite Gram on either
     side, or one whose eigenvalues span a ratio below 1e-12, ends the solve
     with ``"degenerate_gram"`` and the records up to that iterate.  The

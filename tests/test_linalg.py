@@ -5,8 +5,7 @@ import pytest
 
 from hankelx.hankel import HankelShape, hankel_matmat, hankel_rmatmat, reweight
 from hankelx.linalg import DegenerateGramError, truncated_svd
-from hankelx import linalg
-from hankelx.linalg import _hermitian_eigh, _inverse_from_eigh, _orthonormal_basis
+from hankelx.linalg import _hermitian_eigh, _inverse_from_eigh
 from hankelx.recovery import Factors, spectral_init
 from hankelx.sampling import WITHOUT_REPLACEMENT, sample_pattern
 from hankelx.signals import condition_number, spectral_signal
@@ -205,45 +204,3 @@ def test_truncated_svd_at_width_clamp(rng, rank):
     s_ref = np.linalg.svd(A, compute_uv=False)[:rank]
     assert np.max(np.abs(tsvd.S - s_ref) / s_ref) <= 1e-10
     assert rel_err((tsvd.U * tsvd.S) @ tsvd.V.conj().T, A) <= 1e-10
-
-
-def _init_block(rng, rows, width, rank=None):
-    """A (rows, width) block as the randomized SVD's QR reads it: the leading
-    rows of a (width, N) spectrum block, transposed; of rank ``rank`` if given."""
-    block = rand_complex(rng, width, rows + 7)
-    if rank is not None:
-        block = rand_complex(rng, width, rank) @ block[:rank]
-    return block[:, :rows].T
-
-
-@pytest.mark.parametrize("rows", [8192, 9192, 10241])
-def test_orthonormal_basis_by_row_blocks(rng, rows):
-    # 4, 4 and 5 blocks of 2048 rows or more; 9192 and 10241 do not divide evenly
-    width = 15
-    for rank in (None, 5, 0):
-        Y = _init_block(rng, rows, width, rank)
-        Q = _orthonormal_basis(Y)
-        Q0 = np.linalg.qr(Y)[0]
-        assert Q.shape == Q0.shape and Q.dtype == Q0.dtype
-        assert np.abs(Q.conj().T @ Q - np.eye(width)).max() <= 1e-14
-        # Q spans Y's columns; at full rank, exactly the span of np.linalg.qr's Q
-        assert np.linalg.norm(Q @ (Q.conj().T @ Y) - Y) <= 1e-13 * max(1.0, np.linalg.norm(Y))
-        if rank is None:
-            assert np.linalg.norm(Q0 @ (Q0.conj().T @ Q) - Q) <= 1e-13
-
-
-@pytest.mark.parametrize("rows, width", [(1, 1), (15, 15), (4096, 15), (8191, 15), (6144, 30)])
-def test_orthonormal_basis_is_one_qr_below_four_blocks(rng, rows, width):
-    # one QR: the bytes of np.linalg.qr, so inits with n1 and n2 below 8192 keep theirs
-    Y = _init_block(rng, rows, width)
-    assert _orthonormal_basis(Y).tobytes() == np.linalg.qr(Y)[0].tobytes()
-
-
-def test_orthonormal_basis_blocks_are_never_shorter_than_wide(rng, monkeypatch):
-    # with blocks of 4 rows, a width of 6 takes 4 blocks of 6 rows or more
-    monkeypatch.setattr(linalg, "QR_BLOCK_ROWS", 4)
-    Y = _init_block(rng, 26, 6)
-    Q = _orthonormal_basis(Y)
-    assert np.abs(Q.conj().T @ Q - np.eye(6)).max() <= 1e-14
-    Q0 = np.linalg.qr(Y)[0]
-    assert np.linalg.norm(Q0 @ (Q0.conj().T @ Q) - Q) <= 1e-13

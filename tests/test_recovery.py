@@ -569,14 +569,12 @@ def test_lowrank_spectra_allocation_budget():
 def test_spectral_init_allocation_budget():
     # the Gaussian block is dropped once its product exists, each product
     # (a view pinning its (width, N) spectrum block) right after its QR, and
-    # each basis once its product exists: no more than two blocks at a time.
-    # At n=16383 the QR runs by row blocks, each written into one output.
-    r = 5
-    for n in (4095, 16383):
-        sig, pattern, f_obs, _ = make_instance(n, r, 20.0, n // 2, 0.1, 199)
-        block = (r + max(10, 2 * r)) * (n + 1) * np.dtype(np.complex128).itemsize
-        peak = traced_peak(lambda: spectral_init(f_obs, pattern, sig.shape, r, 0.1))
-        assert peak <= 2.5 * block, f"n={n}: peak {peak / block:.2f} blocks"
+    # each basis once its product exists: no more than two blocks at a time
+    n, r = 4095, 5
+    sig, pattern, f_obs, _ = make_instance(n, r, 20.0, n // 2, 0.1, 199)
+    block = (r + max(10, 2 * r)) * 4096 * np.dtype(np.complex128).itemsize
+    peak = traced_peak(lambda: spectral_init(f_obs, pattern, sig.shape, r, 0.1))
+    assert peak <= 2.5 * block, f"peak {peak / block:.2f} blocks"
 
 
 @pytest.mark.parametrize("solve", [run_hsnld, run_plain_gd])
@@ -782,20 +780,16 @@ def test_run_hsnld_stops_on_estimated_ball_clipping():
     report = run_hsnld(f_obs, pattern, sig.shape, config, ground_truth=sig.z)
     assert report.termination == "clipped"
     assert report.iterations < config.max_iters // 10
-    # every bold attempt is redone, so the solve is the fixed-eta loop below
-    assert report.redone_at == (0, 1, 3, 7, 15)
+    # the first bold step is redone, so the solve is the fixed-eta loop below
+    assert report.redone_at == (0,)
     # the stop is at the first run of CLIP_STOP_ITERS clipped iterates, the
     # initialization's projection counting as iterate 0
-    init = spectral_init(f_obs, pattern, sig.shape, 10, 0.0, seed=config.seed)
-    state = _refresh(init.factors, f_obs, pattern, sig.shape, config, 0,
-                     init.incoherence_bound)
-    clipped = [state.factors.clipped_rows > 0]
-    for _ in range(report.iterations):
-        state = hsnld_step(state, f_obs, pattern, sig.shape, config)
-        clipped.append(state.factors.clipped_rows > 0)
-    window = recovery.CLIP_STOP_ITERS
-    full = [i for i in range(window - 1, len(clipped)) if all(clipped[i + 1 - window:i + 1])]
-    assert full == [report.iterations]
+    def step(st, cfg):
+        return hsnld_step(st, f_obs, pattern, sig.shape, cfg)
+
+    *_, clipped = _stepped_loop(
+        f_obs, pattern, sig.shape, replace(config, max_iters=report.iterations), step)
+    assert _clip_stops(clipped) == [report.iterations]
 
 
 def test_run_plain_gd_matches_on_well_conditioned():
@@ -822,10 +816,11 @@ def _stepped_loop(f_obs, pattern, shape, config, step, bold=None):
 
     With ``bold``, a step is first taken at that eta at iterate 0, at every
     iterate after a kept attempt, and 1, 2, 4, ... iterates after the first,
-    second, third, ... rejected one.  An attempt is kept if it halves the
-    observed residual, else the step is redone at ``config.eta``.  Returns
-    each iterate's residual, the last iterate, and the iterates whose bold
-    attempt was redone and those whose was kept.
+    second, third, ... rejected one, unless the one at iterate 0 was rejected.
+    An attempt is kept if it halves the observed residual, else the step is
+    redone at ``config.eta``.  Returns each iterate's residual, the last
+    iterate, the iterates whose bold attempt was redone and those whose was
+    kept, and whether each iterate's projection shrank a row.
     """
     init = spectral_init(f_obs, pattern, shape, config.rank, config.alpha, seed=config.seed)
     state = _refresh(init.factors, f_obs, pattern, shape, config, 0, init.incoherence_bound)
@@ -835,21 +830,29 @@ def _stepped_loop(f_obs, pattern, shape, config, step, bold=None):
         return float(np.linalg.norm(st.gap) / denom)
 
     residuals, redone, kept = [residual(state)], [], []
+    clipped = [state.factors.clipped_rows > 0]
     try_at = 0 if bold else float("inf")
     while len(residuals) <= config.max_iters:
         k = state.iteration
+        candidate = None
         if k >= try_at:
             candidate = step(state, replace(config, eta=bold))
             if residual(candidate) <= 0.5 * residual(state):
                 kept.append(k)
-                state = candidate
-                residuals.append(residual(state))
-                continue
-            redone.append(k)
-            try_at = k + 2 ** (len(redone) - 1)
-        state = step(state, config)
+            else:
+                candidate = None
+                redone.append(k)
+                try_at = k + 2 ** (len(redone) - 1) if k else float("inf")
+        state = step(state, config) if candidate is None else candidate
         residuals.append(residual(state))
-    return residuals, state, tuple(redone), tuple(kept)
+        clipped.append(state.factors.clipped_rows > 0)
+    return residuals, state, tuple(redone), tuple(kept), clipped
+
+
+def _clip_stops(clipped):
+    """The iterates that end a run of CLIP_STOP_ITERS iterates whose projection clipped."""
+    window = recovery.CLIP_STOP_ITERS
+    return [i for i in range(window - 1, len(clipped)) if all(clipped[i + 1 - window:i + 1])]
 
 
 def _assert_report_is(report, residuals, state):
@@ -864,9 +867,13 @@ def _assert_report_is(report, residuals, state):
     # after the doubled wait, redone at 7 and, 4 iterates on, at 11
     pytest.param(255, 3, 2000.0, 200, 0.1, 22, 12, (2, 3, 7, 11), (0, 1, 5, 6),
                  id="kappa2000-kept-again"),
-    # an n=125, r=10 phase-grid boundary cell (m=68, alpha=0.2): every
-    # attempt is redone, so the waits 1, 2, 4, 8 all pass
-    pytest.param(125, 10, 10.0, 68, 0.2, 1, 20, (0, 1, 3, 7, 15), (),
+    # an n=125, r=10 phase-grid cell (m=106): kept at 0, 2 and 5 between
+    # rejections, then redone after waits of 4 and 8
+    pytest.param(125, 10, 10.0, 106, 0.0, 5, 20, (1, 3, 6, 10, 18), (0, 2, 5),
+                 id="n125-kept-between"),
+    # an n=125, r=10 phase-grid boundary cell (m=68, alpha=0.2): the first
+    # attempt is redone and none follows
+    pytest.param(125, 10, 10.0, 68, 0.2, 1, 20, (0,), (),
                  id="n125-boundary-cell"),
 ])
 def test_run_hsnld_retries_the_bold_step_with_exponential_back_off(
@@ -874,7 +881,8 @@ def test_run_hsnld_retries_the_bold_step_with_exponential_back_off(
 ):
     # a bold step at min(1, 1.4 eta) is kept if it halves the observed
     # residual, else redone at eta from the same products; the next attempt
-    # comes 1, 2, 4, ... iterates after each rejection, a wait that never resets
+    # comes 1, 2, 4, ... iterates after each rejection, a wait that never
+    # resets, and none after a rejection at iterate 0
     sig, pattern, f_obs, _ = make_instance(n, r, kappa, m, alpha, seed)
     config = RecoveryConfig(rank=r, alpha=alpha, max_iters=max_iters, tol_residual=0.0)
     report = run_hsnld(f_obs, pattern, sig.shape, config)
@@ -886,12 +894,33 @@ def test_run_hsnld_retries_the_bold_step_with_exponential_back_off(
         return hsnld_step(st, f_obs, pattern, sig.shape, cfg)
 
     bold = min(1.0, 1.4 * config.eta)
-    residuals, state, redone, kept_by_hand = _stepped_loop(
+    residuals, state, redone, kept_by_hand, _ = _stepped_loop(
         f_obs, pattern, sig.shape, config, step, bold)
     assert (redone, kept_by_hand) == (redone_at, kept)
     _assert_report_is(report, residuals, state)
-    if not kept:  # every attempt redone: the solve is the fixed-eta loop, byte for byte
+    if not kept:  # the first attempt redone: the solve is the fixed-eta loop, byte for byte
         _assert_report_is(report, *_stepped_loop(f_obs, pattern, sig.shape, config, step)[:2])
+
+
+def test_run_hsnld_stops_clipped_between_bold_attempts():
+    # 30 samples again: the first bold step is kept and every later one
+    # redone, and the solve stops at its first run of CLIP_STOP_ITERS clipped
+    # iterates, as the loop of hsnld_step at the same steps does
+    sig, pattern, f_obs, _ = make_instance(125, 10, 10.0, 30, 0.0, 60)
+    config = RecoveryConfig(rank=10, alpha=0.0)
+    report = run_hsnld(f_obs, pattern, sig.shape, config)
+    assert report.termination == "clipped"
+    assert report.redone_at == (1, 2, 4, 8, 16, 32, 64)
+
+    def step(st, cfg):
+        return hsnld_step(st, f_obs, pattern, sig.shape, cfg)
+
+    residuals, state, redone, kept, clipped = _stepped_loop(
+        f_obs, pattern, sig.shape, replace(config, max_iters=report.iterations), step,
+        min(1.0, 1.4 * config.eta))
+    assert (redone, kept) == (report.redone_at, (0,))
+    _assert_report_is(report, residuals, state)
+    assert _clip_stops(clipped) == [report.iterations]
 
 
 def test_eta_zero_and_plain_gd_take_no_bold_step():
