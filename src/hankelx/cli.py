@@ -13,13 +13,13 @@ unknown keys are rejected.  A key left out is worked out by the command.  A
 run refuses a key it does not read (``gen kind=doa`` reads no ``r``, ``phase``
 no ``alpha`` beside ``alpha_values``); any other value runs as given or exits
 2.  Every output (CSV with LF endings and '.' decimal separators, JSON with a
-stable key order) is a pure function of the seed and configuration: grid
-trials derive per-cell seeds by hashing and run in order on the calling
-thread.  ``--threads N`` is accepted for compatibility and checked (N >= 1);
-it does not change how or what a command computes.
-``phase`` and ``converge`` run each synthetic trial through one function and
-write ``trials.csv``, one named outcome per trial.  A summary's ``seconds`` is
-the solver's own clock, the one behind the trace's ``ms`` column.
+stable key order) is a pure function of the seed and configuration: each grid
+trial hashes its own seed from its cell's values and its trial index, and the
+trials run in grid order on the calling thread.  ``--threads N`` is accepted
+for compatibility and checked (N >= 1); it does not change how or what a
+command computes.  ``phase`` and ``converge`` run their trials through one grid
+runner, which writes ``trials.csv``, one named outcome per trial.  A summary's
+``seconds`` is the solver's own clock, the one behind the trace's ``ms`` column.
 
 Exit codes: 0 command completed and wrote its report, whatever the solve's
 termination; 1 a failed solve (``LinAlgError`` or ``RuntimeError``) or an
@@ -289,7 +289,7 @@ def _solver_config(params: dict, rank, alpha, seed) -> RecoveryConfig:
     )
 
 
-def _trial(params, runner, trial_seed, rank, kappa, m, alpha):
+def _trial(params, trial_seed, runner, rank, kappa, m, alpha):
     """One synthetic solve built from ``trial_seed``, and its named outcome.
 
     Returns the report, or the failure the solve raised (``_SOLVE_FAILURES``),
@@ -430,48 +430,58 @@ def cmd_recover(params: dict, seed: int, out: Path) -> int:
     return 0
 
 
+def _run_grid(params: dict, seed: int, out: Path, axes: list[str], jobs: list) -> list:
+    """Every trial of every cell, in grid order, and ``trials.csv``, one outcome per trial.
+
+    A job is a cell: its values on ``axes``, its seed label and ``_trial``'s
+    arguments after the seed.  Trial t runs on ``derive_seed(seed, *label, t)``,
+    so a cell's trials do not depend on the rest of the grid.  ``out`` is
+    created only after the last trial.  Returns each cell's ``_trial`` results.
+    """
+    n = params["trials"]
+    results = [_trial(params, derive_seed(seed, *label, t), *args)
+               for _, label, args in jobs for t in range(n)]
+    cells = [results[i:i + n] for i in range(0, len(results), n)]
+    out.mkdir(parents=True, exist_ok=True)
+    _write_csv(
+        out / "trials.csv",
+        [*axes, "trial", "termination", "iterations", "err"],
+        ([*values, t, *outcome] for (values, _, _), cell in zip(jobs, cells)
+         for t, (_, outcome) in enumerate(cell)),
+    )
+    return cells
+
+
 def cmd_converge(params: dict, seed: int, out: Path) -> int:
     """``converge.csv``, each cell's mean trace, and ``trials.csv``, one outcome per trial.
 
     A cell with a solve that raised gets one ``error: <first failure>`` row instead.
     """
-    kappas = params["kappas"]
-    if not kappas:
-        raise ConfigError("converge needs a nonempty kappas list")
-    if not params["solvers"]:
-        raise ConfigError("converge needs a nonempty solvers list")
-    runners = [(solver, _runner(solver)) for solver in params["solvers"]]
+    for key in ("kappas", "solvers"):
+        if not params[key]:
+            raise ConfigError(f"converge needs a nonempty {key} list")
     m = _sample_count(params["p"], params["n"])
-    rows, trial_rows = [], []
-    for kappa in kappas:
-        for solver, runner in runners:
-            reports = []
-            for t in range(params["trials"]):
-                trial_seed = derive_seed(seed, "converge", kappa, t)
-                report, (termination, iterations, err) = _trial(
-                    params, runner, trial_seed, params["r"], kappa, m, params["alpha"]
-                )
-                reports.append(report)
-                trial_rows.append([kappa, solver, t, termination, iterations, err])
-            failed = [rep for rep in reports if isinstance(rep, Exception)]
-            if failed:
-                rows.append([solver, kappa, -1, "nan", "nan", "nan", f"error: {failed[0]}"])
-                continue
-            for it in range(max(len(rep.records) for rep in reports)):
-                recs = [rep.records[min(it, len(rep.records) - 1)] for rep in reports]
-                means = [float(np.mean([getattr(rec, field) for rec in recs]))
-                         for field in ("residual", "error", "seconds")]
-                rows.append([solver, kappa, it, *means, "ok"])
-    out.mkdir(parents=True, exist_ok=True)
+    # the label leaves the solver out, so every solver of a kappa sees the same instances
+    jobs = [((kappa, solver), ("converge", kappa),
+             (_runner(solver), params["r"], kappa, m, params["alpha"]))
+            for kappa in params["kappas"] for solver in params["solvers"]]
+    cells = _run_grid(params, seed, out, ["kappa", "solver"], jobs)
+    rows = []
+    for ((kappa, solver), _, _), cell in zip(jobs, cells):
+        reports = [report for report, _ in cell]
+        failed = [rep for rep in reports if isinstance(rep, Exception)]
+        if failed:
+            rows.append([solver, kappa, -1, "nan", "nan", "nan", f"error: {failed[0]}"])
+            continue
+        for it in range(max(len(rep.records) for rep in reports)):
+            recs = [rep.records[min(it, len(rep.records) - 1)] for rep in reports]
+            means = [float(np.mean([getattr(rec, field) for rec in recs]))
+                     for field in ("residual", "error", "seconds")]
+            rows.append([solver, kappa, it, *means, "ok"])
     _write_csv(
         out / "converge.csv",
         ["solver", "kappa", "iter", "residual", "err", "seconds", "status"],
         rows,
-    )
-    _write_csv(
-        out / "trials.csv",
-        ["kappa", "solver", "trial", "termination", "iterations", "err"],
-        trial_rows,
     )
     return 0
 
@@ -495,27 +505,16 @@ def cmd_phase(params: dict, seed: int, out: Path) -> int:
     """``phase.csv``, successes per cell, and ``trials.csv``, one outcome per trial."""
     ((x_axis, x_values), (y_axis, y_values)), fixed = _phase_axes(params)
     runner = _runner("hsnld")
-    trials = params["trials"]
-    rows, trial_rows = [], []
+    jobs = []
     for x in x_values:
         for y in y_values:
             cell = {**fixed, x_axis: x, y_axis: y}
-            successes = 0
-            for t in range(trials):
-                _, (termination, iterations, err) = _trial(
-                    params, runner, derive_seed(seed, "phase", x_axis, x, y_axis, y, t),
-                    int(cell["r"]), params["kappa"], int(cell["m"]), float(cell["alpha"]),
-                )
-                successes += _succeeded(termination, err)
-                trial_rows.append([x, y, t, termination, iterations, err])
-            rows.append([x, y, successes, trials])
-    out.mkdir(parents=True, exist_ok=True)
+            args = (runner, int(cell["r"]), params["kappa"], int(cell["m"]), float(cell["alpha"]))
+            jobs.append(((x, y), ("phase", x_axis, x, y_axis, y), args))
+    cells = _run_grid(params, seed, out, [x_axis, y_axis], jobs)
+    rows = [[*values, sum(_succeeded(term, err) for _, (term, _, err) in cell), params["trials"]]
+            for (values, _, _), cell in zip(jobs, cells)]
     _write_csv(out / "phase.csv", [x_axis, y_axis, "successes", "trials"], rows)
-    _write_csv(
-        out / "trials.csv",
-        [x_axis, y_axis, "trial", "termination", "iterations", "err"],
-        trial_rows,
-    )
     return 0
 
 

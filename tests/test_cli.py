@@ -253,6 +253,19 @@ def test_converge_small_grid(tmp_path):
     assert any(line.startswith("plaingd,5.0,") for line in lines[1:])
 
 
+def test_converge_solvers_share_each_kappas_instances(tmp_path):
+    # both solvers start from the same instances, so their iterate-0 means agree per kappa
+    out = tmp_path / "conv"
+    assert run_cli("converge", "--out", str(out), "--seed", "4", "n=127", "r=2",
+                   "kappas=1,5", "trials=2", "max_iters=200") == 0
+    header, *rows = _read_rows(out / "converge.csv")
+    start = {(row[0], row[1]): row[3:5] for row in rows if row[2] == "0"}
+    assert header[3:5] == ["residual", "err"]
+    assert sorted(start) == [(s, k) for s in ("hsnld", "plaingd") for k in ("1.0", "5.0")]
+    for kappa in ("1.0", "5.0"):
+        assert start["hsnld", kappa] == start["plaingd", kappa]
+
+
 def test_converge_trials_csv_names_a_degenerate_gram(tmp_path):
     # at kappa 1e13 the first trial's factor Gram collapses before the cap
     out = tmp_path / "conv"
@@ -612,6 +625,18 @@ def test_phase_trials_csv_adds_up_to_phase_csv(tmp_path):
         successes[m, a] = successes.get((m, a), 0) + won
     phase = _read_rows(out1 / "phase.csv")[1:]
     assert [[m, a, str(successes[m, a]), "2"] for m, a in successes] == phase
+
+
+def test_phase_cell_trials_do_not_depend_on_the_rest_of_the_grid(tmp_path):
+    # each trial's seed comes from its own cell and index, so a cell run alone gives its rows
+    args = ["phase", "--seed", "7", "n=64", "r=2", "kappa=2", "alpha_values=0,0.1",
+            "trials=2", "max_iters=150"]
+    assert run_cli(*args, "m_values=40,64", "--out", str(tmp_path / "both")) == 0
+    assert run_cli(*args, "m_values=64", "--out", str(tmp_path / "alone")) == 0
+    both = [row for row in _read_rows(tmp_path / "both" / "trials.csv")[1:] if row[0] == "64.0"]
+    alone = _read_rows(tmp_path / "alone" / "trials.csv")[1:]
+    assert len(alone) == 4
+    assert both == alone
 
 
 def test_phase_names_a_degenerate_gram(tmp_path):

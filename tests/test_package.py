@@ -67,6 +67,22 @@ def test_cli_reruns_no_solver_rule():
     assert private == []
 
 
+def test_grid_commands_share_one_trial_loop_and_one_trials_csv_writer():
+    # phase and converge run every trial through _run_grid, the one writer of trials.csv
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    callers = [
+        func.name
+        for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "_trial"
+    ]
+    assert callers == ["_run_grid"]
+    names = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value == "trials.csv"]
+    assert len(names) == 1
+
+
 def test_every_public_function_serves_more_than_its_unit_tests():
     # a public function must be called in the package, or be used by the acceptance suite or README
     used = set()
