@@ -430,26 +430,25 @@ def cmd_recover(params: dict, seed: int, out: Path) -> int:
     return 0
 
 
-def _run_grid(params: dict, seed: int, out: Path, axes: list[str], jobs: list) -> list:
+def _run_grid(params: dict, seed: int, out: Path, axes: list[str], jobs: list, summarize) -> list:
     """Every trial of every cell, in grid order, and ``trials.csv``, one outcome per trial.
 
-    A job is a cell: its values on ``axes``, its seed label and ``_trial``'s
-    arguments after the seed.  Trial t runs on ``derive_seed(seed, *label, t)``,
-    so a cell's trials do not depend on the rest of the grid.  ``out`` is
-    created only after the last trial.  Returns each cell's ``_trial`` results.
+    A job is a cell: its values on ``axes``, its seed label and ``_trial``'s arguments after
+    the seed.  Trial t runs on ``derive_seed(seed, *label, t)``, so a cell's trials do not
+    depend on the rest of the grid.  ``summarize(values, results)`` gets a cell's results once
+    its last trial has run; only its summary is kept, and returned.  ``out`` is made last.
     """
     n = params["trials"]
-    results = [_trial(params, derive_seed(seed, *label, t), *args)
-               for _, label, args in jobs for t in range(n)]
-    cells = [results[i:i + n] for i in range(0, len(results), n)]
+    results = (_trial(params, derive_seed(seed, *label, t), *args)
+               for _, label, args in jobs for t in range(n))
+    summaries, trial_rows = [], []
+    for values, _, _ in jobs:
+        cell = [next(results) for _ in range(n)]
+        trial_rows += ([*values, t, *outcome] for t, (_, outcome) in enumerate(cell))
+        summaries.append(summarize(values, cell))
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out / "trials.csv",
-        [*axes, "trial", "termination", "iterations", "err"],
-        ([*values, t, *outcome] for (values, _, _), cell in zip(jobs, cells)
-         for t, (_, outcome) in enumerate(cell)),
-    )
-    return cells
+    _write_csv(out / "trials.csv", [*axes, "trial", "termination", "iterations", "err"], trial_rows)
+    return summaries
 
 
 def cmd_converge(params: dict, seed: int, out: Path) -> int:
@@ -465,23 +464,26 @@ def cmd_converge(params: dict, seed: int, out: Path) -> int:
     jobs = [((kappa, solver), ("converge", kappa),
              (_runner(solver), params["r"], kappa, m, params["alpha"]))
             for kappa in params["kappas"] for solver in params["solvers"]]
-    cells = _run_grid(params, seed, out, ["kappa", "solver"], jobs)
-    rows = []
-    for ((kappa, solver), _, _), cell in zip(jobs, cells):
+
+    def trace_rows(values, cell):
+        kappa, solver = values
         reports = [report for report, _ in cell]
         failed = [rep for rep in reports if isinstance(rep, Exception)]
         if failed:
-            rows.append([solver, kappa, -1, "nan", "nan", "nan", f"error: {failed[0]}"])
-            continue
+            return [[solver, kappa, -1, "nan", "nan", "nan", f"error: {failed[0]}"]]
+        rows = []
         for it in range(max(len(rep.records) for rep in reports)):
             recs = [rep.records[min(it, len(rep.records) - 1)] for rep in reports]
             means = [float(np.mean([getattr(rec, field) for rec in recs]))
                      for field in ("residual", "error", "seconds")]
             rows.append([solver, kappa, it, *means, "ok"])
+        return rows
+
+    cells = _run_grid(params, seed, out, ["kappa", "solver"], jobs, trace_rows)
     _write_csv(
         out / "converge.csv",
         ["solver", "kappa", "iter", "residual", "err", "seconds", "status"],
-        rows,
+        [row for rows in cells for row in rows],
     )
     return 0
 
@@ -511,9 +513,8 @@ def cmd_phase(params: dict, seed: int, out: Path) -> int:
             cell = {**fixed, x_axis: x, y_axis: y}
             args = (runner, int(cell["r"]), params["kappa"], int(cell["m"]), float(cell["alpha"]))
             jobs.append(((x, y), ("phase", x_axis, x, y_axis, y), args))
-    cells = _run_grid(params, seed, out, [x_axis, y_axis], jobs)
-    rows = [[*values, sum(_succeeded(term, err) for _, (term, _, err) in cell), params["trials"]]
-            for (values, _, _), cell in zip(jobs, cells)]
+    rows = _run_grid(params, seed, out, [x_axis, y_axis], jobs, lambda values, cell: [
+        *values, sum(_succeeded(term, err) for _, (term, _, err) in cell), params["trials"]])
     _write_csv(out / "phase.csv", [x_axis, y_axis, "successes", "trials"], rows)
     return 0
 
