@@ -62,10 +62,13 @@ __all__ = [
 DENSE_ENTRY_CAP = 4_000_000
 
 
-def _check_integer(name: str, value, low: int):
-    """The package's one integer rule: an integer >= low; bools and floats are refused."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+def _check_integer(name: str, value, low: int, below: str | None = None):
+    """The package's one integer rule: an integer >= low; bools, floats and strings are refused
+    before any comparison.  ``below``, when given, is the message for an integer under ``low``."""
+    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integer or value < low:
+        raise ValueError(below if integer and below else
+                         f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _fft_length(n: int) -> int:
@@ -91,9 +94,7 @@ class HankelShape:
     @classmethod
     def square(cls, n: int) -> "HankelShape":
         """Square-ish default split: n1 = ceil((n+1)/2)."""
-        if n < 1:
-            raise ValueError("n must be positive")
-        _check_integer("n", n, 1)
+        _check_integer("n", n, 1, "n must be positive")
         n1 = (n + 2) // 2
         return cls(n1, n - n1 + 1)
 
@@ -169,16 +170,8 @@ def hankel_adjoint_dense(M, shape: HankelShape) -> WeightedSignal:
 
 def _lowrank_spectra(L, R, shape: HankelShape, out: np.ndarray | None = None):
     """:func:`lowrank_to_signal` and the (2r, N) row spectrum of L^T over R^H,
-    written into ``out`` (see :func:`_row_spectrum`) when one is given."""
-    L = np.asarray(L, dtype=np.complex128)
-    R = np.asarray(R, dtype=np.complex128)
-    if L.ndim != 2 or R.ndim != 2 or L.shape[1] != R.shape[1] or L.shape[1] == 0:
-        raise ValueError("factors must be 2-D with matching, nonzero column counts")
-    if L.shape[0] != shape.n1 or R.shape[0] != shape.n2:
-        raise ValueError(
-            f"factor rows ({L.shape[0]}, {R.shape[0]}) do not match shape "
-            f"({shape.n1}, {shape.n2})"
-        )
+    written into ``out`` (see :func:`_row_spectrum`) when one is given.  It checks
+    nothing: :func:`lowrank_to_signal` checks its factors, and the solver's are its own."""
     r = L.shape[1]
     spec = _row_spectrum(_fft_length(shape.n), L, R, out)
     # sum over j of spec_j * spec_{r+j}, row by row: the bytes of the (r, N)
@@ -196,8 +189,18 @@ def lowrank_to_signal(L, R, shape: HankelShape) -> WeightedSignal:
     Each rank-one term contributes one linear convolution of a column of L
     with the conjugated column of R.  Its n1 + n2 - 1 = n outputs fit the
     transform length, so one FFT over the 2r factor rows and one inverse, of
-    length next_pow_two(n), replace forming the n1 x n2 product.
+    length next_pow_two(n), replace forming the n1 x n2 product.  The factors
+    are checked here, where they enter, and not by :func:`_lowrank_spectra`.
     """
+    L = np.asarray(L, dtype=np.complex128)
+    R = np.asarray(R, dtype=np.complex128)
+    if L.ndim != 2 or R.ndim != 2 or L.shape[1] != R.shape[1] or L.shape[1] == 0:
+        raise ValueError("factors must be 2-D with matching, nonzero column counts")
+    if L.shape[0] != shape.n1 or R.shape[0] != shape.n2:
+        raise ValueError(
+            f"factor rows ({L.shape[0]}, {R.shape[0]}) do not match shape "
+            f"({shape.n1}, {shape.n2})"
+        )
     return _lowrank_spectra(L, R, shape)[0]
 
 
@@ -217,7 +220,12 @@ def _row_spectrum(
     on the way, and only the padding is zeroed: no conjugated copy of B and no
     fill of the whole block.  The block is ``out`` when given (a C-contiguous
     complex block of that shape, whose every entry is overwritten), else a
-    new one."""
+    new one.  B is conjugated one column per call.  A 2-D ``np.conjugate``
+    allocates ufunc buffers past ``_lowrank_spectra``'s block budget at n=4095,
+    and a copy of B.T negated through a float64 view takes a second pass over
+    the rows: in paired runs (2-vCPU VM, one BLAS thread) an n=16383 step read
+    slower with it in 19 of 30 pairs, and a 1000-iteration n=125 solve no
+    faster (12 and 16 of 30)."""
     k = A.shape[1]
     rows = out
     if rows is None:
@@ -225,7 +233,6 @@ def _row_spectrum(
     rows[:k, : A.shape[0]] = A.T
     rows[:k, A.shape[0] :] = 0
     if B is not None:
-        # column by column: a 2-D strided conjugate allocates ufunc buffers
         for j in range(B.shape[1]):
             np.conjugate(B[:, j], out=rows[k + j, : B.shape[0]])
         rows[k:, B.shape[0] :] = 0

@@ -26,11 +26,6 @@ class DegenerateGramError(RuntimeError):
     """Raised when a factor Gram matrix is numerically singular (rank collapse)."""
 
 
-def _invertible_input(G: np.ndarray) -> bool:
-    """Whether every matrix of a stack of Grams is finite and nonzero."""
-    return bool(np.isfinite(G).all() and np.any(G, axis=(-2, -1)).all())
-
-
 def _check_rank(rank, n1: int, n2: int):
     """Refuse a rank that is not an integer in [1, min(n1, n2)]."""
     _check_integer("rank", rank, 1)
@@ -47,7 +42,7 @@ def _check_fraction(name: str, value):
 def _hermitian_eigh(G: np.ndarray):
     """``eigh`` of G's Hermitian part; a stack of matrices gives each one's own bytes."""
     # eigh reads one triangle; average both, since the product's roundoff may differ
-    return np.linalg.eigh(0.5 * (G + np.swapaxes(G.conj(), -1, -2)))
+    return np.linalg.eigh(0.5 * (G + G.conj().swapaxes(-1, -2)))
 
 
 def _inverse_from_eigh(w: np.ndarray, Q: np.ndarray) -> np.ndarray:

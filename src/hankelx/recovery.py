@@ -35,13 +35,11 @@ from .linalg import (
     _hankel_svd,
     _hermitian_eigh,
     _inverse_from_eigh,
-    _invertible_input,
 )
 from .sampling import (
     ObservationPattern,
     SparseEstimate,
     keep_count,
-    project_obs,
     top_k_threshold,
 )
 
@@ -85,13 +83,18 @@ BOLD_KEEP_RATIO = 0.5
 class Factors:
     """Low-rank factor pair; the estimate of the embedded matrix is L @ R^H.
 
-    ``grams`` is the stack (L^H L, R^H R), formed from these very arrays, and
-    ``eig`` the stacked ``(w, Q)`` eigendecomposition of their Hermitian
-    parts, or None when a Gram is zero or non-finite.  :func:`project_incoherence`
-    screens rows with them and :func:`hsnld_step` inverts them, so neither
-    forms them again.  Both are valid only while L and R stay unmodified.
-    ``clipped_rows`` is the number of rows of L and R together that the
-    projection shrank.
+    ``grams`` is the (2, r, r) block (L^H L, R^H R), formed from these very
+    arrays, and ``eig`` the stacked ``(w, Q)`` eigendecomposition of their
+    Hermitian parts, or None when a Gram is zero or non-finite.  That verdict
+    reads the real parts of the two traces.  A diagonal entry sums a column's
+    squares, and |G_ij| <= (G_ii + G_jj) / 2 by Cauchy-Schwarz, so a trace is
+    finite and nonzero exactly when its Gram is; a trace that overflows though
+    every entry is finite (a squared factor norm past the float64 maximum) is
+    refused too.
+    :func:`project_incoherence` screens rows with them and :func:`hsnld_step`
+    inverts them, so neither forms them again.  Both are valid only while L
+    and R stay unmodified.  ``clipped_rows`` is the number of rows of L and R
+    together that the projection shrank.
     """
 
     L: np.ndarray
@@ -105,8 +108,13 @@ class Factors:
         self.R = np.asarray(self.R, dtype=np.complex128)
         if self.L.ndim != 2 or self.R.ndim != 2 or self.L.shape[1] != self.R.shape[1]:
             raise ValueError("factor shapes are inconsistent")
-        self.grams = np.stack((self.L.conj().T @ self.L, self.R.conj().T @ self.R))
-        self.eig = _hermitian_eigh(self.grams) if _invertible_input(self.grams) else None
+        r = self.L.shape[1]
+        self.grams = np.empty((2, r, r), dtype=np.complex128)
+        np.matmul(self.L.conj().T, self.L, out=self.grams[0])
+        np.matmul(self.R.conj().T, self.R, out=self.grams[1])
+        t_l, t_r = self.grams.trace(axis1=1, axis2=2).real.tolist()
+        finite_nonzero = 0 < t_l < math.inf and 0 < t_r < math.inf
+        self.eig = _hermitian_eigh(self.grams) if finite_nonzero else None
 
 
 def _default_gamma(k: int) -> float:
@@ -211,8 +219,8 @@ def _shrink_rows(A: np.ndarray, other_gram: np.ndarray, other_top: float, bound:
     clipped = int(np.count_nonzero(over))
     if not clipped:
         return A, 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(over, bound / rows, 1.0)
+    # only rows over the bound are divided: no 0 or NaN, so no warning to silence
+    scale = np.divide(bound, rows, out=np.ones_like(rows), where=over)
     return scale[:, None] * A, clipped
 
 
@@ -328,8 +336,9 @@ def _refresh(
     step, when one is given, else into a new block."""
     z, spectra = _lowrank_spectra(factors.L, factors.R, shape, block)
     k = keep_count(_default_gamma(iteration), config.alpha, pattern.m, shape.n)
-    s = _sparsify(f_obs - project_obs(z.z, pattern), k, shape)
-    gap = project_obs(z.z + s.s, pattern) - f_obs
+    mult = pattern.multiplicities()  # project_obs, whose length check the solve's vectors pass
+    s = _sparsify(f_obs - mult * z.z, k, shape)
+    gap = mult * (z.z + s.s) - f_obs
     return IterateState(factors, z, s, gap, iteration, bound, spectra)
 
 
@@ -378,6 +387,12 @@ def hsnld_step(
     return _stepper(state, f_obs, pattern, shape, config)(config.eta)
 
 
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-D complex vector by its own formula, so with its bytes,
+    but without its dispatch."""
+    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+
+
 def _error_against(z_true, n: int):
     """Relative l2 error (that of the embeddings too) against a truth whose norm is taken once.
 
@@ -393,7 +408,7 @@ def _error_against(z_true, n: int):
         raise ValueError(f"ground truth norm must be finite and nonzero, got {denom}")
 
     def error(z_est) -> float:
-        return float(np.linalg.norm(np.asarray(z_est, dtype=np.complex128) - b) / denom)
+        return float(_norm(z_est - b) / denom)
 
     return error
 
@@ -424,7 +439,7 @@ def _run(
     def residual_of(st: IterateState) -> float:
         if denom == 0:
             return 0.0
-        return float(np.linalg.norm(st.gap) / denom)
+        return float(_norm(st.gap) / denom)
 
     clipped_streak = 0
     termination = "max_iters"

@@ -76,8 +76,8 @@ class SparseEstimate:
 
 def sample_pattern(n: int, m: int, mode: str, seed: int) -> ObservationPattern:
     """Draw m uniform indices from [0, n) under the given mode, seeded."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _check_integer("n", n, 1)
+    _check_integer("m", m, 1, f"m must be >= 1, got {m}")
     rng = np.random.default_rng(seed)
     if mode == WITH_REPLACEMENT:
         idx = rng.integers(0, n, size=m)
@@ -124,7 +124,7 @@ def top_k_threshold(v, k: int) -> SparseEstimate:
     chosen = mag > boundary
     need = k - int(np.count_nonzero(chosen))
     if need > 0:
-        chosen[np.flatnonzero(mag == boundary)[:need]] = True
+        chosen[(mag == boundary).nonzero()[0][:need]] = True
     out[chosen] = v[chosen]
     return SparseEstimate(out)
 

@@ -233,6 +233,7 @@ def test_c06_condition_number_independence():
     _budget(6, "condition-number independence", elapsed, 600.0)
 
 
+@pytest.mark.slow
 def test_c07_phase_transition_monotonicity(tmp_path):
     start = time.perf_counter()
     code = cli_main([

@@ -45,9 +45,11 @@ def test_shape_identity_and_square_default():
     (lambda: HankelShape(3, 2.5), "n2 must be an integer >= 1, got 2.5"),
     (lambda: HankelShape(3.0, 3), "n1 must be an integer >= 1, got 3.0"),
     (lambda: HankelShape.square(5.0), "n must be an integer >= 1, got 5.0"),
+    (lambda: HankelShape.square("5"), "n must be an integer >= 1, got '5'"),
 ])
 def test_shape_refuses_non_integer_splits(build, message):
-    # a bool split used to solve as 1 x n2, a fractional one to fail inside numpy
+    # a bool split used to solve as 1 x n2, a fractional one to fail inside
+    # numpy, and a string n to raise a TypeError from its range check
     with pytest.raises(ValueError, match=rf"^{message}$"):
         build()
     assert HankelShape(np.int64(3), np.int32(2)).n == 4

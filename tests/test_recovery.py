@@ -534,6 +534,82 @@ def test_carried_grams_change_no_bit():
             np.testing.assert_array_equal(array, _iterate_arrays(want)[name], err_msg=name)
 
 
+@pytest.mark.parametrize("n, r", [(125, 10), (4095, 5)])
+def test_refresh_and_residual_match_public_longhand(n, r):
+    # the refresh multiplies by the pattern's multiplicities in place of
+    # project_obs, _lowrank_spectra no longer checks the factors, and the solve
+    # takes its norms by np.linalg.norm's own formula: a longhand of public
+    # functions gives the same bytes, at iterate 0 of a solve and at a later
+    # iterate's gamma
+    sig, pattern, f_obs, _ = make_instance(n, r, 20.0, n // 2, 0.1, 213)
+    shape, config = sig.shape, RecoveryConfig(rank=r, alpha=0.1, max_iters=0)
+    init = spectral_init(f_obs, pattern, shape, r, 0.1, seed=config.seed)
+    weights = np.sqrt(antidiagonal_counts(shape).astype(np.float64))
+    for iteration in (7, 0):  # iterate 0's gap is the solve's first residual
+        got = _refresh(init.factors, f_obs, pattern, shape, config, iteration,
+                       init.incoherence_bound)
+        z = lowrank_to_signal(init.factors.L, init.factors.R, shape).z
+        k = keep_count(_default_gamma(iteration), config.alpha, pattern.m, n)
+        s = top_k_threshold((f_obs - project_obs(z, pattern)) / weights, k).s * weights
+        gap = project_obs(z + s, pattern) - f_obs
+        for name, array, want in (("z", got.z.z, z), ("s", got.s.s, s), ("gap", got.gap, gap)):
+            assert array.tobytes() == want.tobytes(), name
+    report = run_hsnld(f_obs, pattern, shape, config, ground_truth=sig.z)
+    assert report.iterations == 0 and report.signal.z.tobytes() == z.tobytes()
+    record = report.records[0]
+    assert record.residual == float(np.linalg.norm(gap) / np.linalg.norm(f_obs))
+    assert record.error == float(np.linalg.norm(z - sig.z) / np.linalg.norm(sig.z))
+
+
+def _old_invertible_input(grams):
+    """The rule Factors applied before it read the traces: every Gram finite and nonzero."""
+    return bool(np.isfinite(grams).all() and np.any(grams, axis=(-2, -1)).all())
+
+
+def test_factors_grams_and_degenerate_verdicts(rng):
+    # Factors writes both Grams into one block and reads their traces; the
+    # bytes are those of the stacked products, and eig is None exactly where
+    # the finite-and-nonzero test on the whole stack said so
+    for rows_l, rows_r, r in ((9, 7, 4), (40, 31, 1), (63, 63, 10)):
+        L, R = rand_complex(rng, rows_l, r), rand_complex(rng, rows_r, r)
+        stacked = np.stack((L.conj().T @ L, R.conj().T @ R))
+        assert Factors(L, R).grams.tobytes() == stacked.tobytes()
+    L, R = rand_complex(rng, 9, 4), rand_complex(rng, 7, 4)
+    nan, inf, minus_inf, imag_inf = L.copy(), L.copy(), L.copy(), L.copy()
+    nan[0, 0], inf[3, 1], minus_inf[8, 3] = np.nan, np.inf, -np.inf
+    imag_inf[2, 2] = complex(0.0, np.inf)
+    refused = {
+        "zero": np.zeros_like(L), "nan": nan, "inf": inf, "-inf": minus_inf,
+        "imag inf": imag_inf,
+        "Gram overflows": 1e200 * L,
+        "Gram underflows to 0": 1e-200 * L,
+    }
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for name, bad in refused.items():
+            for pair in ((bad, R), (L, bad)):
+                factors = Factors(*pair)
+                assert factors.eig is None, name
+                assert not _old_invertible_input(factors.grams), name
+    assert Factors(L, R).eig is not None and _old_invertible_input(Factors(L, R).grams)
+    # the one difference, by design: every Gram entry finite (1e308) but their
+    # trace past the float64 maximum, which no solvable iterate comes near
+    huge = np.full((1, 4), 1e154, dtype=complex)
+    with np.errstate(over="ignore"):
+        factors = Factors(huge, R)
+    assert factors.eig is None and _old_invertible_input(factors.grams)
+
+    # a finite factor with a zero column (or one whose Gram column underflows)
+    # keeps eig, and the step's inverse refuses it
+    shape, pattern, f_obs, config, _, state = _mid_solve_state(125, 4, 215)
+    for scale in (0.0, 1e-200):
+        L = state.factors.L.copy()
+        L[:, 1] *= scale
+        factors = Factors(L, state.factors.R)
+        assert factors.eig is not None and _old_invertible_input(factors.grams)
+        with pytest.raises(DegenerateGramError, match="degenerate factor Gram matrix"):
+            hsnld_step(replace(state, factors=factors), f_obs, pattern, shape, config)
+
+
 def test_block_product_allocation_budget():
     # one (k, N) complex block, plus length-N vectors: the spectrum is
     # multiplied and transformed again where it was formed

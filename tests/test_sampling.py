@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,24 @@ def test_sample_pattern_guards():
         sample_pattern(5, 0, WITHOUT_REPLACEMENT, seed=0)
     with pytest.raises(ValueError):
         sample_pattern(5, 3, "sometimes", seed=0)
+
+
+@pytest.mark.parametrize("n, m, mode, message", [
+    (10, "3", WITHOUT_REPLACEMENT, "m must be an integer >= 1, got '3'"),
+    (10, 2.5, WITH_REPLACEMENT, "m must be an integer >= 1, got 2.5"),
+    (10, True, WITH_REPLACEMENT, "m must be an integer >= 1, got True"),
+    (10.5, 3, WITH_REPLACEMENT, "n must be an integer >= 1, got 10.5"),
+    (0, 3, WITH_REPLACEMENT, "n must be an integer >= 1, got 0"),
+    (10, 0, WITH_REPLACEMENT, "m must be >= 1, got 0"),
+    (10, -4, WITHOUT_REPLACEMENT, "m must be >= 1, got -4"),
+])
+def test_sample_pattern_refuses_non_integer_sizes(n, m, mode, message):
+    # a non-integer size used to raise a TypeError from a comparison or from
+    # numpy, and n=0 numpy's own "high <= 0"; the integer rule names the
+    # argument first, and an integer m below 1 keeps its range message
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        sample_pattern(n, m, mode, seed=0)
+    assert sample_pattern(np.int64(10), np.int32(3), mode, seed=0).m == 3
 
 
 def test_with_replacement_distinct_fraction():
