@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hankel import HankelShape, WeightedSignal
+from .hankel import WeightedSignal
 from .recovery import RecoveryConfig, RecoveryReport, run_hsnld, run_plain_gd
 from .sampling import WITHOUT_REPLACEMENT, ObservationPattern, _ceil_count, sample_pattern
 from .signals import (
@@ -110,9 +110,7 @@ _SCHEMAS = {
         "input": (str, None),
         "r": (int, None),
         "alpha": (float, None),
-        "eta": _SOLVER_KEYS["eta"],
-        "max_iters": _SOLVER_KEYS["max_iters"],
-        "tol_residual": _SOLVER_KEYS["tol_residual"],
+        **_SOLVER_KEYS,
         "solver": (str, "hsnld"),
     },
     "converge": {
@@ -326,7 +324,6 @@ def cmd_gen(params: dict, seed: int, out: Path) -> int:
     n = params["n"]
     if n is None or n < 2:
         raise ConfigError("n must be an integer >= 2")
-    shape = HankelShape.square(n)
     kappa = thetas = None
     if kind == "spectral":
         r, kappa = params["r"], 1.0 if params["kappa"] is None else params["kappa"]
@@ -347,16 +344,16 @@ def cmd_gen(params: dict, seed: int, out: Path) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     save_signal(out / "signal.hnkz", sig)
-    save_signal(out / "observed.hnkz", WeightedSignal(shape, f_obs))
+    save_signal(out / "observed.hnkz", WeightedSignal(sig.shape, f_obs))
     if alpha > 0:
-        save_signal(out / "outliers.hnkz", WeightedSignal(shape, s_true.s))
+        save_signal(out / "outliers.hnkz", WeightedSignal(sig.shape, s_true.s))
     _write_csv(out / "pattern.csv", ["index"], ([int(i)] for i in pattern.indices))
     _write_json(
         out / "meta.json",
         {
             "kind": kind,
             "n": n,
-            "n1": shape.n1,
+            "n1": sig.shape.n1,
             "r": r,
             "kappa": kappa,
             "thetas": thetas,

@@ -349,12 +349,13 @@ def _descent_direction(state: IterateState, pattern) -> WeightedSignal:
 def _stepper(state: IterateState, f_obs, pattern, shape, config):
     """``step(eta, into)``: the step from ``state`` at ``eta``, from products formed once,
     refreshed into block ``into``, else (the last step) into theirs.  Raises
-    :class:`DegenerateGramError` on a zero, non-finite or singular Gram."""
+    :class:`DegenerateGramError` on a zero, non-finite or singular Gram, before
+    it forms the products."""
     current = state.factors
-    grad_l, grad_r, block = _factor_products(_descent_direction(state, pattern), state.spectra)
     if current.eig is None:
         raise DegenerateGramError("degenerate factor Gram matrix (zero or non-finite input)")
     inv_gram_l, inv_gram_r = _inverse_from_eigh(*current.eig)
+    grad_l, grad_r, block = _factor_products(_descent_direction(state, pattern), state.spectra)
     def step(eta: float, into: np.ndarray | None = None) -> IterateState:
         nonlocal grad_l, grad_r
         # (1 - eta) L - grad_l (eta inv_gram_r): eta scales the r x r inverse, not
@@ -427,63 +428,54 @@ def _run(
     start = time.perf_counter()
     init = spectral_init(f_obs, pattern, shape, config.rank, config.alpha, seed=config.seed)
     bound = init.incoherence_bound
-    sigma1 = init.top_singular_value
-    if update == "plaingd" and sigma1 <= 0:
-        sigma1 = 1.0
-
+    sigma1 = init.top_singular_value or 1.0  # plain GD's step; 0 only for an all-zero f_obs
     state = _refresh(init.factors, f_obs, pattern, shape, config, 0, bound)
     del init  # else it pins the init factors past the first step
-    denom = np.linalg.norm(f_obs)
+    denom = np.linalg.norm(f_obs) or math.inf  # an all-zero f_obs reads residual 0
     records: list[IterationRecord] = []
-
-    def residual_of(st: IterateState) -> float:
-        if denom == 0:
-            return 0.0
-        return float(_norm(st.gap) / denom)
-
     clipped_streak = 0
     termination = "max_iters"
-    bold = update == "hsnld" and 0 < config.eta < 1
-    bold_at, wait, redone_at = 0, 1, []  # the next bold attempt's iterate
-    while True:
-        # a diverging iterate's norms overflow; the non-finite stop below reports it
-        with np.errstate(over="ignore"):
-            res = residual_of(state)
-            err = error_of(state.z.z)
-        records.append(IterationRecord(res, err, time.perf_counter() - start))
-        if res <= config.tol_residual:
-            termination = "residual_tol"
-            break
-        if not np.isfinite(res):
-            termination = "diverged"
-            break
-        if state.iteration == config.max_iters:
-            break
-        clipped_streak = clipped_streak + 1 if state.factors.clipped_rows else 0
-        if clipped_streak == CLIP_STOP_ITERS:
-            termination = "clipped"
-            break
-        if update == "hsnld":
+    # the next bold attempt's iterate: none for plain GD, or at eta 0 or 1
+    bold_at, redone_at = (0 if update == "hsnld" and 0 < config.eta < 1 else math.inf), []
+    step = None  # while ``state`` is a bold candidate not yet judged, the step it came from
+    with np.errstate(over="ignore"):  # a diverging iterate overflows; "diverged" reports it
+        while True:
+            res = float(_norm(state.gap) / denom)
+            if step is not None and not res <= BOLD_KEEP_RATIO * records[-1].residual:
+                # no retry after a rejection at iterate 0 (every doa seed, c08): it gave c08's
+                # timed iterates a second refresh and kept failing phase trials from "clipped"
+                tried = state.iteration - 1
+                bold_at = tried + 2 ** len(redone_at) if tried else math.inf
+                redone_at.append(tried)
+                del state  # the rejected candidate: alive through the redo, +0.55 peak blocks
+                state, step = step(config.eta), None
+                continue
+            step = None  # a kept candidate's step, and with it the product block
+            records.append(IterationRecord(res, error_of(state.z.z), time.perf_counter() - start))
+            if res <= config.tol_residual:
+                termination = "residual_tol"
+                break
+            if not math.isfinite(res):
+                termination = "diverged"
+                break
+            if state.iteration == config.max_iters:
+                break
+            clipped_streak = clipped_streak + 1 if state.factors.clipped_rows else 0
+            if clipped_streak == CLIP_STOP_ITERS:
+                termination = "clipped"
+                break
+            if update == "plaingd":
+                state = _plain_gd_step(state, f_obs, pattern, shape, config, sigma1)
+                continue
             try:
                 step = _stepper(state, f_obs, pattern, shape, config)
             except DegenerateGramError:
                 termination = "degenerate_gram"
                 break
-            candidate = None
-            if bold and state.iteration >= bold_at:  # reuse the iterate's block
-                candidate = step(min(1.0, BOLD_STEP_SCALE * config.eta), state.spectra)
-                with np.errstate(over="ignore"):
-                    if not residual_of(candidate) <= BOLD_KEEP_RATIO * res:
-                        # none after a rejection at iterate 0 (every doa seed, c08): retries
-                        # there gave c08's timed iterates a second refresh and kept some
-                        # failing phase-grid trials from their clipped stop
-                        bold_at = state.iteration + wait if state.iteration else math.inf
-                        candidate, wait = None, 2 * wait
-                        redone_at.append(state.iteration)
-            state = step(config.eta) if candidate is None else candidate
-            del step  # and with it the product block
-        else:
-            state = _plain_gd_step(state, f_obs, pattern, shape, config, sigma1)
+            if state.iteration >= bold_at:  # judged on the next pass; reuses the iterate's block
+                state = step(min(1.0, BOLD_STEP_SCALE * config.eta), state.spectra)
+            else:
+                state, step = step(config.eta), None
     return RecoveryReport(records, state.z, state.factors, termination, bound, tuple(redone_at))
 
 

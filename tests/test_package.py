@@ -83,6 +83,19 @@ def test_grid_commands_share_one_trial_loop_and_one_trials_csv_writer():
     assert len(names) == 1
 
 
+def test_solve_loop_enters_one_overflow_guard_and_defines_no_function():
+    # one np.errstate around the whole loop, not one per iterate or bold attempt
+    run = ast.parse(inspect.getsource(recovery._run)).body[0]
+    guards = [node for node in ast.walk(run)
+              if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.errstate"]
+    blocks = [node for node in ast.walk(run) if isinstance(node, ast.With)]
+    loops = [node for node in ast.walk(run) if isinstance(node, ast.While)]
+    assert len(guards) == len(blocks) == len(loops) == 1
+    assert blocks[0].items[0].context_expr is guards[0]
+    assert loops[0] in list(ast.walk(blocks[0]))
+    assert [node for node in ast.walk(run) if isinstance(node, ast.FunctionDef)] == [run]
+
+
 def test_every_public_function_serves_more_than_its_unit_tests():
     # a public function must be called in the package, or be used by the acceptance suite or README
     used = set()

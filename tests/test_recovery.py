@@ -832,16 +832,45 @@ def test_run_hsnld_ends_on_a_degenerate_gram():
 
 
 @pytest.mark.parametrize("scale", [0.0, 1e200])
-def test_hsnld_step_refuses_a_zero_or_nonfinite_gram(scale):
+def test_hsnld_step_refuses_a_zero_or_nonfinite_gram(monkeypatch, scale):
     # a zero Gram, or one that overflows to inf, carries no eigendecomposition
     shape, pattern, f_obs, config, sigma1, state = _mid_solve_state(255, 5, 197)
     with np.errstate(over="ignore", invalid="ignore"):
         factors = Factors(np.full_like(state.factors.L, scale),
                           np.full_like(state.factors.R, scale))
     assert factors.eig is None
+    # the refusal comes before the step forms its products
+    formed = []
+    monkeypatch.setattr(recovery, "_factor_products", lambda *args: formed.append(args))
     message = r"^degenerate factor Gram matrix \(zero or non-finite input\)$"
     with pytest.raises(DegenerateGramError, match=message):
         hsnld_step(replace(state, factors=factors), f_obs, pattern, shape, config)
+    assert formed == []
+
+
+@pytest.mark.parametrize("solve", [run_hsnld, run_plain_gd])
+def test_overflowing_iterate_stops_diverged_quietly(monkeypatch, solve):
+    # from the first step on, the low-rank estimate is scaled by 1e200: the
+    # factors stay finite, so only the residual and error norms overflow
+    sig, pattern, f_obs, _ = make_instance(125, 4, 10.0, 100, 0.1, 71)
+    spectra_of, calls = recovery._lowrank_spectra, []
+
+    def inflated(*args):
+        z, spectra = spectra_of(*args)
+        calls.append(None)
+        return (WeightedSignal(z.shape, 1e200 * z.z) if len(calls) > 1 else z), spectra
+
+    monkeypatch.setattr(recovery, "_lowrank_spectra", inflated)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = solve(f_obs, pattern, sig.shape, RecoveryConfig(rank=4, alpha=0.1),
+                       ground_truth=sig.z)
+    assert report.termination == "diverged"
+    assert report.iterations == 1
+    # HSNLD's bold candidate overflows too: it is rejected, and the redo is recorded
+    assert report.redone_at == ((0,) if solve is run_hsnld else ())
+    assert math.isfinite(report.records[0].residual)
+    assert not (math.isfinite(report.records[-1].residual) or math.isfinite(report.final_error))
 
 
 def _clipping_instance():
