@@ -36,21 +36,15 @@ import hashlib
 import json
 import math
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
 
-from .hankel import WeightedSignal
+from .hankel import HankelShape, WeightedSignal, reweight, unweight
 from .recovery import RecoveryConfig, RecoveryReport, run_hsnld, run_plain_gd
 from .sampling import WITHOUT_REPLACEMENT, ObservationPattern, _ceil_count, sample_pattern
-from .signals import (
-    OutlierSpec,
-    doa_signal,
-    inject_outliers,
-    load_signal,
-    save_signal,
-    spectral_signal,
-)
+from .signals import OutlierSpec, doa_signal, inject_outliers, spectral_signal
 
 SUCCESS_ERROR_TOL = 1e-3
 # the array scenario's source angles, in degrees, and its outlier scale
@@ -222,6 +216,19 @@ def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
+def _read_json(path: Path, name: str) -> dict:
+    """The JSON object in the file ``name`` at ``path``; any other content exits 2."""
+    try:
+        value = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {name}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"bad {name}: {exc}") from exc
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must hold a JSON object")
+    return value
+
+
 def _write_csv(path: Path, header: list[str], rows):
     """CSV with LF endings; csv writes each float by repr, so it reads back exactly."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -343,11 +350,10 @@ def cmd_gen(params: dict, seed: int, out: Path) -> int:
     pattern, f_obs, s_true = _observe(sig, m, params["mode"], alpha, scale, seed)
 
     out.mkdir(parents=True, exist_ok=True)
-    save_signal(out / "signal.hnkz", sig)
-    save_signal(out / "observed.hnkz", WeightedSignal(sig.shape, f_obs))
-    if alpha > 0:
-        save_signal(out / "outliers.hnkz", WeightedSignal(sig.shape, s_true.s))
-    _write_csv(out / "pattern.csv", ["index"], ([int(i)] for i in pattern.indices))
+    # the raw (unweighted) values, so a reader reweights them at n1
+    arrays = {key: unweight(WeightedSignal(sig.shape, z))
+              for key, z in (("observed", f_obs), ("truth", sig.z), ("outliers", s_true.s))}
+    np.savez(out / "instance.npz", n1=sig.shape.n1, indices=pattern.indices, **arrays)
     _write_json(
         out / "meta.json",
         {
@@ -368,39 +374,51 @@ def cmd_gen(params: dict, seed: int, out: Path) -> int:
     return 0
 
 
+def _named(label: str, build, *args):
+    """``build(*args)``; input that it refuses exits 2, with ``label`` before the reason."""
+    try:
+        return build(*args)
+    except (EOFError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
+
+
 def _load_instance_dir(path: Path):
-    if not (path / "observed.hnkz").is_file() or not (path / "pattern.csv").is_file():
-        raise ConfigError(f"input directory {path} is missing observed.hnkz or pattern.csv")
-    observed = load_signal(path / "observed.hnkz")
-    with open(path / "pattern.csv", newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    indices = np.array([_parse_int("pattern.csv index", r[0] if r else "") for r in rows], np.int64)
+    """The solver's (observed, pattern, shape) and truth (or None) from ``instance.npz``, weighted
+    at its ``n1``, and ``meta.json``; a refusal names the file, and the array at fault."""
+    file, meta_file = path / "instance.npz", path / "meta.json"
+    if not file.is_file():
+        raise ConfigError(f"input directory {path} has no instance.npz")
+    try:
+        archive = np.load(file, allow_pickle=False)
+    except (EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"{file} is not an .npz archive") from exc
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ConfigError(f"{file} is not an .npz archive")
+    with archive:
+        for key in ("n1", "indices", "observed"):
+            if key not in archive:
+                raise ConfigError(f"{file} has no array {key!r}")
+        raw = {key: _named(f"{file} array {key!r}", archive.__getitem__, key)
+               for key in ("n1", "indices", "observed", "truth") if key in archive}
+    n1, indices, n = raw["n1"], raw["indices"], raw["observed"].size
+    if n1.ndim != 0 or n1.dtype.kind not in "iu" or not 1 <= n1 <= n:
+        raise ConfigError(f"{file} array 'n1' must be an integer in [1, {n}], got {n1!r}")
     if indices.size == 0:
-        raise ConfigError(f"{path / 'pattern.csv'} lists no indices")
-    meta = {}
-    if (path / "meta.json").is_file():
-        meta = json.loads((path / "meta.json").read_text())
-        if not isinstance(meta, dict):
-            raise ConfigError(f"{path / 'meta.json'} must hold a JSON object")
-    mode = meta.get("mode", WITHOUT_REPLACEMENT)
-    pattern = ObservationPattern(n=observed.shape.n, indices=indices, mode=mode)
-    truth = load_signal(path / "signal.hnkz") if (path / "signal.hnkz").is_file() else None
-    if truth is not None:
-        if truth.shape.n != observed.shape.n:
-            raise ConfigError(f"signal.hnkz length {truth.shape.n} != observed {observed.shape.n}")
-        # each file's weights follow its own split, so another split is another vector
-        if truth.shape != observed.shape:
-            raise ConfigError(
-                f"signal.hnkz split {truth.shape.n1}x{truth.shape.n2}"
-                f" != observed {observed.shape.n1}x{observed.shape.n2}"
-            )
-    return observed, pattern, truth, meta
+        raise ConfigError(f"{file} array 'indices' lists no indices")
+    if indices.dtype.kind not in "iu":
+        raise ConfigError(f"{file} array 'indices' must hold integers, got {indices.dtype}")
+    shape = HankelShape(int(n1), n - int(n1) + 1)
+    observed, truth = (_named(f"{file} array {key!r}", reweight, raw[key], shape).z
+                       if key in raw else None for key in ("observed", "truth"))
+    meta = _read_json(meta_file, str(meta_file)) if meta_file.is_file() else {}
+    pattern = ObservationPattern(n, indices, meta.get("mode", WITHOUT_REPLACEMENT))
+    return (observed, pattern, shape), truth, meta
 
 
 def cmd_recover(params: dict, seed: int, out: Path) -> int:
     if not params["input"]:
         raise ConfigError("recover needs input=DIR pointing at generated files")
-    observed, pattern, truth, meta = _load_instance_dir(Path(params["input"]))
+    problem, truth, meta = _load_instance_dir(Path(params["input"]))
     # a key not given takes meta.json's value, through the command line's cast
     meta.setdefault("alpha", 0.0)
     rank, alpha = (
@@ -412,13 +430,7 @@ def cmd_recover(params: dict, seed: int, out: Path) -> int:
         raise ConfigError("rank r must be given (or present in meta.json)")
     runner = _runner(params["solver"])
     config = _solver_config(params, rank, alpha, seed)
-    report = runner(
-        observed.z,
-        pattern,
-        observed.shape,
-        config,
-        ground_truth=None if truth is None else truth.z,
-    )
+    report = runner(*problem, config, ground_truth=truth)
     _write_run(
         out, report, {**params, "rank": rank, "alpha": alpha, "seed": seed},
         success=_succeeded(report.termination, report.final_error),
@@ -571,16 +583,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"out {out}: {existing} exists and is not a directory")
         # accepted and checked; trials always run on one thread
         _parse_int("threads", given.pop("threads", 1), 1)
-        raw = {}
-        if config_file:
-            try:
-                raw = json.loads(Path(config_file).read_text())
-            except (OSError, UnicodeDecodeError) as exc:
-                raise ConfigError(f"cannot read config file: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"bad config file: {exc}") from exc
-            if not isinstance(raw, dict):
-                raise ConfigError(f"config file {config_file} must hold a JSON object")
+        raw = _read_json(Path(config_file), f"config file {config_file}") if config_file else {}
         raw.update(given)
         seed = _parse_int("seed", raw.pop("seed", 0), 0)
         if seed >= 2**64:

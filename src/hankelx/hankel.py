@@ -110,7 +110,7 @@ class WeightedSignal:
         self.z = np.asarray(self.z, dtype=np.complex128)
         if self.z.ndim != 1 or self.z.size != self.shape.n:
             raise ValueError(
-                f"signal length {self.z.size} does not match shape n={self.shape.n}"
+                f"signal of shape {self.z.shape} does not match shape n={self.shape.n}"
             )
 
 
@@ -137,7 +137,7 @@ def reweight(x, shape: HankelShape) -> WeightedSignal:
     """Inverse of :func:`unweight`: z_a = sqrt(c_a) * x_a."""
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 1 or x.size != shape.n:
-        raise ValueError(f"expected length {shape.n}, got {x.size}")
+        raise ValueError(f"expected length {shape.n}, got {x.shape}")
     return WeightedSignal(shape, _sqrt_counts(shape) * x)
 
 

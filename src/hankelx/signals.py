@@ -1,20 +1,13 @@
-"""Synthetic spectrally sparse signals, array snapshots, and outlier injection.
-
-Signal files store the raw (unweighted) antidiagonal values so weights can be
-recomputed on load: magic ``HNKZ``, u32 version=1, u64 n, u32 n1, then n
-interleaved little-endian f64 (re, im) pairs.
-"""
+"""Synthetic spectrally sparse signals, array snapshots, and outlier injection."""
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .hankel import HankelShape, WeightedSignal, reweight, unweight
+from .hankel import HankelShape, WeightedSignal, reweight
 from .linalg import _check_fraction, _check_rank, _hankel_svd
 from .sampling import ObservationPattern, SparseEstimate, keep_count, project_obs
 
@@ -26,12 +19,8 @@ __all__ = [
     "doa_signal",
     "inject_outliers",
     "condition_number",
-    "save_signal",
-    "load_signal",
 ]
 
-_MAGIC = b"HNKZ"
-_VERSION = 1
 _REJECTION_CAP = 10_000
 
 
@@ -169,36 +158,4 @@ def condition_number(sig: WeightedSignal, r: int, seed: int = 0) -> ConditionEst
         raise ValueError(f"rank-deficient signal: sigma_{r} ~ {s[r - 1]:.3e}")
     gap = s[r] / s[0] if probe > r else float("nan")
     return ConditionEstimate(kappa=float(s[0] / s[r - 1]), rank_gap=float(gap))
-
-
-def save_signal(path, sig: WeightedSignal) -> None:
-    """Write the binary signal format (raw values; weights recomputed on load)."""
-    x = unweight(sig)
-    payload = np.empty(2 * x.size, dtype="<f8")
-    payload[0::2] = x.real
-    payload[1::2] = x.imag
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IQI", _VERSION, x.size, sig.shape.n1))
-        fh.write(payload.tobytes())
-
-
-def load_signal(path) -> WeightedSignal:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        if len(header := fh.read(16)) < 16:
-            raise ValueError(f"{path}: truncated header")
-        version, n, n1 = struct.unpack("<IQI", header)
-        if version != _VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        payload = np.frombuffer(fh.read(16 * n), dtype="<f8")
-        trailing = fh.read(1)
-    if payload.size != 2 * n:
-        raise ValueError(f"{path}: truncated payload")
-    if trailing:
-        raise ValueError(f"{path}: trailing bytes after the payload")
-    x = payload[0::2] + 1j * payload[1::2]
-    return reweight(x, HankelShape(int(n1), int(n) - int(n1) + 1))
 

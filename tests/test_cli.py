@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+import zipfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,12 +16,27 @@ import pytest
 import hankelx
 from hankelx import cli
 from hankelx.cli import derive_seed, main
+from hankelx.hankel import HankelShape, WeightedSignal, reweight, unweight
 from hankelx.recovery import RecoveryConfig
-from hankelx.signals import OutlierSpec, condition_number, load_signal
+from hankelx.sampling import WITHOUT_REPLACEMENT
+from hankelx.signals import OutlierSpec, condition_number, spectral_signal
 
 
 def run_cli(*args):
     return main(list(args))
+
+
+def _instance(out):
+    """The arrays of a generated directory's ``instance.npz``."""
+    with np.load(out / "instance.npz", allow_pickle=False) as archive:
+        return dict(archive)
+
+
+def _truth(out):
+    """A generated directory's ground truth, reweighted at its ``n1``."""
+    arrays = _instance(out)
+    n1, n = int(arrays["n1"]), arrays["truth"].size
+    return reweight(arrays["truth"], HankelShape(n1, n - n1 + 1))
 
 
 def test_unknown_command_exit_2(capsys):
@@ -75,11 +91,8 @@ def test_gen_spectral_deterministic(tmp_path):
     args = ["gen", "--seed", "7", "kind=spectral", "n=255", "r=5", "kappa=10"]
     assert run_cli(*args, "--out", str(out1)) == 0
     assert run_cli(*args, "--out", str(out2)) == 0
-    assert (out1 / "signal.hnkz").read_bytes() == (out2 / "signal.hnkz").read_bytes()
-    assert (out1 / "observed.hnkz").read_bytes() == (out2 / "observed.hnkz").read_bytes()
-    assert (out1 / "pattern.csv").read_text() == (out2 / "pattern.csv").read_text()
-    sig = load_signal(out1 / "signal.hnkz")
-    assert sig.shape.n == 255
+    assert (out1 / "instance.npz").read_bytes() == (out2 / "instance.npz").read_bytes()
+    assert _truth(out1).shape.n == 255
     meta = json.loads((out1 / "meta.json").read_text())
     assert meta["r"] == 5 and meta["m"] == 255
 
@@ -91,15 +104,47 @@ def test_gen_flag_and_kv_forms_agree(tmp_path):
                    "--kind", "spectral", "--n", "64", "--r", "2") == 0
     assert run_cli("gen", "--out", str(out2), "--seed", "3",
                    "kind=spectral", "n=64", "r=2") == 0
-    assert (out1 / "signal.hnkz").read_bytes() == (out2 / "signal.hnkz").read_bytes()
+    assert (out1 / "instance.npz").read_bytes() == (out2 / "instance.npz").read_bytes()
+
+
+def test_gen_writes_raw_arrays_byte_exact_and_bit_stable(tmp_path):
+    # instance.npz holds the raw (unweighted) values byte for byte; its zip members carry
+    # a fixed date, so the same seed writes the same bytes whenever it runs
+    args = ["gen", "--seed", "7", "kind=spectral", "n=257", "r=3", "kappa=5", "p=0.6", "alpha=0.1"]
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert run_cli(*args, "--out", str(out1)) == 0
+    assert run_cli(*args, "--out", str(out2)) == 0
+    assert sorted(path.name for path in out1.iterdir()) == ["instance.npz", "meta.json"]
+    assert (out1 / "instance.npz").read_bytes() == (out2 / "instance.npz").read_bytes()
+    with zipfile.ZipFile(out1 / "instance.npz") as archive:
+        assert {info.date_time for info in archive.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+        assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
+
+    sig, _ = spectral_signal(257, 3, 5.0, seed=derive_seed(7, "signal"))
+    pattern, f_obs, s_true = cli._observe(
+        sig, cli._sample_count(0.6, 257), WITHOUT_REPLACEMENT, 0.1, 10.0, 7)
+    expected = {
+        "n1": np.int64(sig.shape.n1),
+        "indices": pattern.indices,
+        "observed": unweight(WeightedSignal(sig.shape, f_obs)),
+        "truth": unweight(sig),
+        "outliers": unweight(WeightedSignal(sig.shape, s_true.s)),
+    }
+    arrays = _instance(out1)
+    assert arrays.keys() == expected.keys()
+    for key, value in expected.items():
+        assert arrays[key].dtype == value.dtype and arrays[key].tobytes() == value.tobytes(), key
+    # reweighted at n1, the truth matches to one rounding of the weight multiply
+    truth = _truth(out1)
+    assert truth.shape == sig.shape
+    np.testing.assert_allclose(truth.z, sig.z, rtol=1e-14, atol=0)
 
 
 def test_gen_doa_file_condition_number(tmp_path):
     out = tmp_path / "doa"
     assert run_cli("gen", "--out", str(out), "kind=doa", "n=4096",
                    "thetas=87,87.1,87.3") == 0
-    sig = load_signal(out / "signal.hnkz")
-    est = condition_number(sig, 3, seed=0)
+    est = condition_number(_truth(out), 3, seed=0)
     assert abs(est.kappa - 5742.502) <= 0.01 * 5742.502
 
 
@@ -186,9 +231,9 @@ def test_recover_missing_input_exit_2(tmp_path, capsys):
     assert run_cli("recover", f"input={tmp_path / 'absent'}") == 2
     data = tmp_path / "data"
     assert run_cli("gen", "--out", str(data), "kind=spectral", "n=64", "r=2") == 0
-    (data / "pattern.csv").write_text("")
+    _npz(indices=np.zeros(0, np.int64))(data / "instance.npz")
     assert run_cli("recover", "--out", str(tmp_path / "r"), f"input={data}") == 2
-    assert "lists no indices" in capsys.readouterr().err
+    assert "instance.npz array 'indices' lists no indices" in capsys.readouterr().err
 
 
 def _failing_hsnld(*args, **kwargs):
@@ -361,26 +406,29 @@ def _text(content):
     return lambda path: path.write_text(content)
 
 
-def _short_signal(path):
-    hankelx.save_signal(path, hankelx.reweight(np.ones(10), hankelx.HankelShape.square(10)))
+def _npz(**changes):
+    """A file edit that rewrites ``instance.npz`` with arrays replaced, left out (None), or
+    edited by a callable that gets the saved array."""
+    def edit(path):
+        arrays = _instance(path.parent)
+        for key, change in changes.items():
+            arrays[key] = change(arrays[key]) if callable(change) else change
+        np.savez(path, **{key: value for key, value in arrays.items() if value is not None})
+    return edit
 
 
 def _set_entries(index, value):
-    """A file edit that sets entries of a saved signal."""
-    def edit(path):
-        sig = hankelx.load_signal(path)
-        z = sig.z.copy()
-        z[index] = value
-        hankelx.save_signal(path, hankelx.WeightedSignal(sig.shape, z))
-    return edit
+    """An array edit that sets entries of a saved array."""
+    def change(array):
+        array = array.copy()
+        array[index] = value
+        return array
+    return change
 
 
-def _resplit(n1):
-    """A file edit that re-saves a signal's raw values at another Hankel split."""
-    def edit(path):
-        x = hankelx.unweight(hankelx.load_signal(path))
-        hankelx.save_signal(path, hankelx.reweight(x, hankelx.HankelShape(n1, x.size - n1 + 1)))
-    return edit
+def _npy(path):
+    with open(path, "wb") as fh:
+        np.save(fh, np.ones(64))
 
 
 # input the library rejects while a command sets up, before any solve; a
@@ -405,17 +453,17 @@ def _resplit(n1):
     (["recover", "input={gen}", "tol_residual=nan"], "tol_residual must be finite and >= 0"),
     # the incoherence radius is always estimated
     (["recover", "input={gen}", "bound=inf"], "unknown key 'bound' for command 'recover'"),
-    (["recover", "input={gen}", {"pattern.csv": _text("index\n1\n\n2\n")}],
-     "pattern.csv index must be an integer, got ''"),
+    (["recover", "input={gen}", {"instance.npz": _npz(indices=lambda a: a.astype(float))}],
+     "instance.npz array 'indices' must hold integers, got float64"),
     (["recover", "input={gen}", {"meta.json": _text("[2]")}], "meta.json must hold a JSON object"),
     (["recover", "input={gen}", {"meta.json": _text('{"r": 2.5}')}],
      "r must be an integer, got 2.5"),
     (["recover", "input={gen}", {"meta.json": _text('{"r": 2, "alpha": "high"}')}],
      "bad value for 'alpha'"),
-    (["recover", "input={gen}", {"signal.hnkz": _short_signal}],
-     "signal.hnkz length 10 != observed 64"),
-    (["recover", "input={gen}", {"signal.hnkz": lambda p: p.write_bytes(p.read_bytes()[:12])}],
-     "signal.hnkz: truncated header"),
+    (["recover", "input={gen}", {"instance.npz": _npz(truth=np.ones(10))}],
+     "instance.npz array 'truth': expected length 64, got (10,)"),
+    (["recover", "input={gen}", {"instance.npz": lambda p: p.write_bytes(p.read_bytes()[:300])}],
+     "instance.npz is not an .npz archive"),
     (["gen", "kind=spectral", "n=64", "r=2", "kappa=nan"], "kappa must be finite and >= 1, got nan"),
     (["gen", "kind=spectral", "n=64", "r=2", "kappa=inf"], "kappa must be finite and >= 1, got inf"),
     (["phase", "n=64", "r=2", "kappa=nan", "m_values=64", "alpha_values=0", "trials=1"],
@@ -458,27 +506,47 @@ def _resplit(n1):
     (["phase", "n=64", "m=40", "m_values=64", "alpha_values=0", "trials=1"],
      "phase does not read m when m_values is given"),
     # input the solver would refuse before its first iterate
-    (["recover", "input={gen}", {"pattern.csv": _text("index\n0\n1\n2\n")}],
+    (["recover", "input={gen}", {"instance.npz": _npz(indices=np.arange(3))}],
      "observed vector has nonzeros off the sampling pattern"),
-    (["recover", "input={gen}", {"observed.hnkz": _set_entries(5, np.nan)}],
+    (["recover", "input={gen}", {"instance.npz": _npz(observed=_set_entries(5, np.nan))}],
      "observed vector has non-finite entries"),
-    (["recover", "input={gen}", {"signal.hnkz": _set_entries(slice(None), 0)}],
+    (["recover", "input={gen}", {"instance.npz": _npz(truth=_set_entries(slice(None), 0))}],
      "ground truth norm must be finite and nonzero, got 0.0"),
-    (["recover", "input={gen}", {"signal.hnkz": _set_entries(5, np.nan)}],
+    (["recover", "input={gen}", {"instance.npz": _npz(truth=_set_entries(5, np.nan))}],
      "ground truth norm must be finite and nonzero, got nan"),
     (["doa", "error_tol=nan"], "error_tol must be finite and >= 0, got nan"),
     (["doa", "error_tol=inf"], "error_tol must be finite and >= 0, got inf"),
     (["doa", "error_tol=-1"], "error_tol must be finite and >= 0, got -1.0"),
     # refusals of malformed input files and arguments
-    (["recover", "input={gen}", {"pattern.csv": _text("index\n1\n1\n")}],
+    (["recover", "input={gen}", {"instance.npz": _npz(indices=np.array([1, 1]))}],
      "without-replacement pattern has repeated indices"),
-    (["recover", "input={gen}", {"pattern.csv": _text("index\n64\n")}], "indices out of range"),
+    (["recover", "input={gen}", {"instance.npz": _npz(indices=np.array([64]))}],
+     "indices out of range"),
     (["recover", "input={gen}", {"meta.json": _text('{"r": 2, "mode": "bogus"}')}],
      "unknown sampling mode 'bogus'"),
-    (["recover", "input={gen}", {"observed.hnkz": lambda p: p.write_bytes(p.read_bytes()[:100])}],
-     "observed.hnkz: truncated payload"),
-    (["recover", "input={gen}", {"observed.hnkz": lambda p: p.write_bytes(
-        b"HNKZ\x02" + p.read_bytes()[5:])}], "observed.hnkz: unsupported version 2"),
+    (["recover", "input={gen}", {"instance.npz": lambda p: p.unlink()}],
+     "has no instance.npz"),
+    (["recover", "input={gen}", {"instance.npz": lambda p: p.write_bytes(b"not an archive")}],
+     "instance.npz is not an .npz archive"),
+    (["recover", "input={gen}", {"instance.npz": _npy}], "instance.npz is not an .npz archive"),
+    (["recover", "input={gen}", {"instance.npz": _npz(observed=None)}],
+     "instance.npz has no array 'observed'"),
+    (["recover", "input={gen}", {"instance.npz": _npz(
+        indices=np.array([1, "a"], dtype=object))}],
+     "instance.npz array 'indices': Object arrays cannot be loaded when allow_pickle=False"),
+    (["recover", "input={gen}", {"instance.npz": _npz(
+        observed=lambda a: np.zeros(a.size, dtype=[("re", "f8"), ("im", "f8")]))}],
+     "instance.npz array 'observed': Cannot cast array data"),
+    (["recover", "input={gen}", {"instance.npz": _npz(n1=np.float64(33))}],
+     "instance.npz array 'n1' must be an integer in [1, 64], got array(33.)"),
+    (["recover", "input={gen}", {"instance.npz": _npz(n1=np.array([33]))}],
+     "instance.npz array 'n1' must be an integer in [1, 64], got array([33])"),
+    (["recover", "input={gen}", {"instance.npz": _npz(n1=65)}],
+     "instance.npz array 'n1' must be an integer in [1, 64], got array(65)"),
+    (["recover", "input={gen}", {"meta.json": _text('{"r": 2,')}],
+     "meta.json: Expecting property name enclosed in double quotes"),
+    (["recover", "input={gen}", {"meta.json": lambda p: p.write_bytes(b"\xff\xfe")}],
+     "meta.json: 'utf-8' codec can't decode byte 0xff"),
     (["gen", "n=64"], "kind must be 'spectral' or 'doa'"),
     (["gen", "kind=spectral", "n=1"], "n must be an integer >= 2"),
     (["recover"], "recover needs input=DIR"),
@@ -489,18 +557,14 @@ def _resplit(n1):
     (["gen", "--config", __file__], "bad config file"),
     (["gen", "kind=spectral", "n=64", "r=2", "--seed"], "flag --seed is missing a value"),
     (["gen", "frob"], "cannot parse argument 'frob'"),
-    (["recover", "input={gen}", {"signal.hnkz": _resplit(20)}],
-     "signal.hnkz split 20x45 != observed 33x32"),
-    (["recover", "input={gen}", {"observed.hnkz": lambda p: p.write_bytes(
-        p.read_bytes() + bytes(16))}], "observed.hnkz: trailing bytes after the payload"),
     (["gen", "kind=spectral", "n=64", "r=2", "--seed", "-1"], "seed must be >= 0, got -1"),
     (["gen", "kind=spectral", "n=64", "r=2", f"seed={2**64}"],
      f"seed must be < 2**64, got {2**64}"),
 ], ids=["gen-m", "gen-alpha", "doa-p", "phase-m", "phase-r", "phase-eta", "phase-trials",
         "converge-eta", "converge-trials", "converge-solvers", "recover-r", "doa-n",
-        "recover-tol-nan", "recover-bound-inf", "recover-pattern-blank-line",
+        "recover-tol-nan", "recover-bound-inf", "recover-indices-float",
         "recover-meta-not-object", "recover-meta-r", "recover-meta-alpha", "recover-truth-length",
-        "recover-truth-truncated", "gen-kappa-nan", "gen-kappa-inf", "phase-kappa-nan",
+        "recover-instance-truncated", "gen-kappa-nan", "gen-kappa-inf", "phase-kappa-nan",
         "converge-kappa-nan", "gen-scale-inf", "gen-scale-nan", "converge-scale-inf",
         "doa-theta-nan", "gen-p-nan", "converge-p-nan", "gen-unseparable",
         "gen-m-zero", "gen-p-zero", "gen-p-negative", "gen-scale-negative",
@@ -510,10 +574,13 @@ def _resplit(n1):
         "phase-m-and-axis", "recover-off-pattern", "recover-observed-nan", "recover-truth-zero",
         "recover-truth-nan", "doa-error-tol-nan", "doa-error-tol-inf", "doa-error-tol-negative",
         "recover-pattern-repeated", "recover-pattern-out-of-range", "recover-meta-mode",
-        "recover-observed-truncated", "recover-observed-version", "gen-no-kind", "gen-n-one",
+        "recover-instance-missing", "recover-instance-garbage", "recover-instance-npy",
+        "recover-missing-key", "recover-object-array", "recover-observed-structured",
+        "recover-n1-float", "recover-n1-not-0d", "recover-n1-above-n", "recover-meta-truncated",
+        "recover-meta-not-utf8", "gen-no-kind", "gen-n-one",
         "recover-no-input", "recover-no-rank", "recover-solver", "doa-thetas-empty",
-        "config-not-json", "flag-without-value", "bare-token", "recover-truth-split",
-        "recover-observed-trailing", "seed-negative", "seed-too-large"])
+        "config-not-json", "flag-without-value", "bare-token", "seed-negative",
+        "seed-too-large"])
 def test_setup_rejection_exit_2(tmp_path, capsys, args, named):
     if "input={gen}" in args:
         data = tmp_path / "gen"
@@ -698,15 +765,15 @@ def test_config_file_with_override(tmp_path):
     assert run_cli("gen", "--config", str(cfg), "--out", str(out1)) == 0
     # override the config's n on the command line
     assert run_cli("gen", "--config", str(cfg), "--out", str(out2), "n=128") == 0
-    assert load_signal(out1 / "signal.hnkz").shape.n == 64
-    assert load_signal(out2 / "signal.hnkz").shape.n == 128
+    assert _truth(out1).shape.n == 64
+    assert _truth(out2).shape.n == 128
     # the command line's seed beats the file's, in either flag form
     out3 = tmp_path / "c"
     out4 = tmp_path / "d"
     assert run_cli("gen", "--config", str(cfg), "--out", str(out3), "--seed", "3") == 0
     assert run_cli("gen", f"--out={out4}", "--seed=3", "kind=spectral", "n=64", "r=2") == 0
     assert json.loads((out3 / "meta.json").read_text())["seed"] == 3
-    assert (out3 / "signal.hnkz").read_bytes() == (out4 / "signal.hnkz").read_bytes()
+    assert (out3 / "instance.npz").read_bytes() == (out4 / "instance.npz").read_bytes()
 
 
 @pytest.mark.parametrize("key, value", [
@@ -724,7 +791,7 @@ def test_config_file_integral_float_accepted(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "spectral", "n": 64.0, "r": 2, "seed": 11.0}))
     assert run_cli("gen", "--config", str(cfg), "--out", str(tmp_path)) == 0
-    assert load_signal(tmp_path / "signal.hnkz").shape.n == 64
+    assert _truth(tmp_path).shape.n == 64
 
 
 def test_module_entry_point(tmp_path):
@@ -739,7 +806,7 @@ def test_module_entry_point(tmp_path):
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "signal.hnkz").is_file()
+    assert (tmp_path / "instance.npz").is_file()
 
 
 @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["-h"], 0), ([], 2)])

@@ -84,6 +84,11 @@ def test_reweight_examples():
     np.testing.assert_allclose(reweight(e1, HankelShape(2, 2)).z, e1, atol=1e-15)
     with pytest.raises(ValueError):
         reweight([1.0, 2.0], HankelShape(2, 2))
+    # an array of another shape is named by its shape, not by its size alone
+    with pytest.raises(ValueError, match=r"^expected length 64, got \(8, 8\)$"):
+        reweight(np.ones((8, 8)), HankelShape.square(64))
+    with pytest.raises(ValueError, match=r"^signal of shape \(8, 8\) does not match shape n=64$"):
+        WeightedSignal(HankelShape.square(64), np.ones((8, 8)))
 
 
 def test_weight_roundtrips(rng):

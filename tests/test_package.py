@@ -96,6 +96,21 @@ def test_solve_loop_enters_one_overflow_guard_and_defines_no_function():
     assert [node for node in ast.walk(run) if isinstance(node, ast.FunctionDef)] == [run]
 
 
+def test_only_the_cli_reads_or_writes_instance_files():
+    # one owner of the instance format: np.savez and np.load are called in cli.py alone,
+    # and no module packs bytes by hand
+    callers, packers = set(), set()
+    for path in Path(hankelx.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.savez", "np.load"):
+                callers.add(path.name)
+            if isinstance(node, ast.Import) and "struct" in (a.name for a in node.names) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "struct"):
+                packers.add(path.name)
+    assert callers == {"cli.py"}
+    assert packers == set()
+
+
 def test_every_public_function_serves_more_than_its_unit_tests():
     # a public function must be called in the package, or be used by the acceptance suite or README
     used = set()
@@ -121,7 +136,7 @@ def test_every_public_function_serves_more_than_its_unit_tests():
 @pytest.mark.parametrize("refused, message", [
     (lambda: HankelShape.square(0), "n must be positive"),
     (lambda: WeightedSignal(HankelShape(50, 50), np.zeros(98)),
-     "signal length 98 does not match shape n=99"),
+     r"signal of shape \(98,\) does not match shape n=99"),
     (lambda: lowrank_to_signal(np.zeros((49, 2)), np.zeros((50, 2)), HankelShape(50, 50)),
      r"factor rows \(49, 50\) do not match shape \(50, 50\)"),
     (lambda: ObservationPattern(4, np.zeros((2, 2)), WITHOUT_REPLACEMENT),

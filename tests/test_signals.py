@@ -13,8 +13,6 @@ from hankelx.signals import (
     condition_number,
     doa_signal,
     inject_outliers,
-    load_signal,
-    save_signal,
     spectral_signal,
 )
 
@@ -184,35 +182,3 @@ def test_inject_outliers_support_uniform():
     expected = draws * 2 / m
     chi2 = np.sum((observed - expected) ** 2 / expected)
     assert chi2 <= CHI2_CRIT_19_P999
-
-
-def test_signal_binary_roundtrip(tmp_path, rng):
-    # the file stores raw (unweighted) values, so those are byte-exact; the
-    # reweighted vector matches to one rounding of the weight multiply
-    sig, _ = spectral_signal(257, 3, 5.0, seed=18)
-    path = tmp_path / "sig.hnkz"
-    save_signal(path, sig)
-    again = load_signal(path)
-    np.testing.assert_allclose(again.z, sig.z, rtol=1e-14, atol=0)
-    assert again.shape == sig.shape
-
-    # identical content writes identical bytes; reloads are bit-stable
-    other = tmp_path / "sig2.hnkz"
-    save_signal(other, sig)
-    assert other.read_bytes() == path.read_bytes()
-    np.testing.assert_array_equal(load_signal(path).z, again.z)
-
-
-def test_signal_binary_bad_magic(tmp_path):
-    path = tmp_path / "bad.hnkz"
-    path.write_bytes(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(ValueError, match="magic"):
-        load_signal(path)
-
-
-def test_signal_binary_truncated_header(tmp_path):
-    path = tmp_path / "short.hnkz"
-    save_signal(path, spectral_signal(16, 1, 1.0, seed=0)[0])
-    path.write_bytes(path.read_bytes()[:19])  # one byte short of the 20-byte header
-    with pytest.raises(ValueError, match="short.hnkz: truncated header"):
-        load_signal(path)
